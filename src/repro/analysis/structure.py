@@ -14,10 +14,10 @@ visual substrate.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from repro.density.connectivity import MIN_CORNERS_ABOVE
 from repro.density.grid import DensityGrid
@@ -94,28 +94,14 @@ def view_structure(
 ) -> ViewStructure:
     """Enumerate all density-connected regions of a view at *threshold*.
 
-    The same Definition-2.2 machinery as the query-cluster flood fill,
-    applied exhaustively: every maximal group of 4-adjacent elementary
+    The same Definition-2.2 qualifying set as the query cluster, labelled
+    exhaustively: every maximal group of 4-adjacent elementary
     rectangles with at least three corners above the threshold becomes
     one region.
     """
     qualifies = grid.corners_above(threshold) >= MIN_CORNERS_ABOVE
-    labels = -np.ones(qualifies.shape, dtype=int)
-    rows, cols = qualifies.shape
-    region_id = 0
-    for si in range(rows):
-        for sj in range(cols):
-            if qualifies[si, sj] and labels[si, sj] < 0:
-                queue: deque[tuple[int, int]] = deque([(si, sj)])
-                labels[si, sj] = region_id
-                while queue:
-                    i, j = queue.popleft()
-                    for ni, nj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-                        if 0 <= ni < rows and 0 <= nj < cols:
-                            if qualifies[ni, nj] and labels[ni, nj] < 0:
-                                labels[ni, nj] = region_id
-                                queue.append((ni, nj))
-                region_id += 1
+    labels, region_count = ndimage.label(qualifies)
+    labels -= 1
 
     pts = np.asarray(points_2d, dtype=float)
     cells = grid.cells_of(pts)
@@ -129,7 +115,7 @@ def view_structure(
         [density[:-1, :-1], density[1:, :-1], density[:-1, 1:], density[1:, 1:]]
     )
     summaries = []
-    for rid in range(region_id):
+    for rid in range(region_count):
         member = point_labels == rid
         count = int(member.sum())
         centroid = (

@@ -1,14 +1,13 @@
 """Merge-tree connectivity: one union-find sweep per grid, τ free.
 
-The paper's region ``R(tau, Q)`` (Definition 2.2) is recomputed from
-scratch for every noise threshold the user tries: a breadth-first flood
-fill over the cells whose corner test passes at that ``tau``.  The
-simulated users sweep a ladder of a few dozen thresholds per view, so
-the same density grid is re-flooded dozens of times — ~70 % of the
-sequential wall time in ``BENCH_core.json``.
+The paper's region ``R(tau, Q)`` (Definition 2.2) is defined per noise
+threshold: the cells whose corner test passes at that ``tau``,
+4-connected to the query's cell.  The simulated users sweep a ladder of
+a few dozen thresholds per view, so answering each ``tau`` by walking
+the grid would repeat the same work dozens of times per view.
 
-This module replaces the per-``tau`` work with a single *merge tree*
-(persistence-style) precomputation per grid:
+Instead, one *merge tree* (persistence-style) precomputation per grid
+answers every ``tau``:
 
 1. Every elementary rectangle has a **birth level** — the third-largest
    of its four corner densities.  The cell passes Definition 2.2's
@@ -24,13 +23,13 @@ This module replaces the per-``tau`` work with a single *merge tree*
    dendrogram is strictly above ``tau`` — the classic max-bottleneck
    property of the Kruskal tree.
 
-Every connectivity question then becomes a lookup instead of a flood:
+Every connectivity question then becomes a lookup instead of a grid walk:
 
 * ``region_at(tau, cell)`` — one single-source pass computes the merge
   level between *cell* and every other cell (cached per source cell);
   the region at any ``tau`` is a vectorized comparison against that
   array.  A full τ-sweep over ``T`` thresholds costs one comparison
-  per threshold instead of ``T`` flood fills.
+  per threshold instead of ``T`` grid walks.
 * ``component_count_at(tau)`` — components equal *births above tau*
   minus *merges above tau*; both are ``O(log p)`` binary searches in
   presorted arrays.
@@ -38,9 +37,9 @@ Every connectivity question then becomes a lookup instead of a flood:
 The sweep is ``O(p² α(p²))`` after an ``O(p² log p²)`` sort and is run
 **once per density grid** (content-addressed alongside the KDE grid in
 :class:`~repro.density.cache.DensityGridCache`, so repeated grids reuse
-the tree as well).  Results are **element-identical** to the BFS flood
-fill for every ``tau`` — locked in by the property tests in
-``tests/density/test_merge_tree.py``.
+the tree as well).  Results are **element-identical** to labelling the
+qualifying set with ``scipy.ndimage.label`` for every ``tau`` — locked
+in by the property tests in ``tests/density/test_merge_tree.py``.
 """
 
 from __future__ import annotations
@@ -249,7 +248,7 @@ class MergeTree:
         return self._births
 
     # ------------------------------------------------------------------
-    # Queries — all valid for *any* tau, no re-flooding
+    # Queries — all valid for *any* tau, no grid re-walk
     # ------------------------------------------------------------------
     def merge_levels_from(self, cell: tuple[int, int]) -> np.ndarray:
         """Merge level between *cell* and every cell of the grid.
@@ -307,8 +306,8 @@ class MergeTree:
     def region_at(self, tau: float, cell: tuple[int, int]) -> np.ndarray:
         """Boolean mask of the region containing *cell* at threshold *tau*.
 
-        Element-identical to flood-filling the Definition-2.2
-        qualifying set from *cell*: empty when the cell itself fails
+        Element-identical to the 4-connected component of *cell* in the
+        Definition-2.2 qualifying set: empty when the cell itself fails
         the corner test at *tau* (the query sits in noise).
         """
         _LOOKUPS.inc()
@@ -334,8 +333,8 @@ class MergeTree:
 
         Alive cells (birth strictly above *tau*) minus merges recorded
         strictly above *tau* — two binary searches in presorted arrays.
-        Equal to ``count_components`` over the qualifying set for every
-        ``tau`` (see the property tests).
+        Equal to the ``scipy.ndimage.label`` component count of the
+        qualifying set for every ``tau`` (see the property tests).
         """
         _LOOKUPS.inc()
         t = float(tau)

@@ -169,9 +169,9 @@ class ThresholdSweep:
         level below which everything merges).
 
         The whole ladder is answered by one merge-tree pass
-        (:meth:`~repro.density.profiles.VisualProfile.cluster_sweep`)
-        instead of one flood fill per threshold; the resulting sizes
-        and masks are element-identical to the per-``tau`` path.
+        (:meth:`~repro.density.profiles.VisualProfile.cluster_sweep`);
+        the resulting sizes and masks are element-identical to the
+        per-``tau`` path.
         """
         density = view.profile.grid.density
         peak = float(density.max())

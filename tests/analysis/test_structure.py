@@ -2,8 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.structure import structure_ladder, view_structure
+from repro.density.connectivity import (
+    connected_region,
+    points_in_region,
+    region_count_at,
+)
 from repro.density.grid import DensityGrid
 from repro.exceptions import ConfigurationError
 
@@ -58,6 +65,36 @@ class TestViewStructure:
         structure = view_structure(grid, points, query, tau)
         for region in structure.regions:
             assert region.peak_density >= tau
+
+
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=10, max_value=80),
+)
+@settings(max_examples=30, deadline=None)
+def test_view_structure_agrees_with_engine_connectivity(seed, n):
+    """The analysis labelling and the engine's merge tree see one partition.
+
+    Probed at every cell birth level, i.e. every threshold at which the
+    qualifying set changes.
+    """
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(0.0, 1.0, size=(n, 2))
+    query = points[int(rng.integers(n))]
+    grid = DensityGrid(points, resolution=int(rng.integers(4, 16)))
+    for tau in np.unique(grid.merge_tree.births):
+        structure = view_structure(grid, points, query, tau)
+        assert structure.region_count == region_count_at(grid, tau)
+        region = connected_region(grid, query, tau)
+        member = points_in_region(grid, region, points)
+        found = structure.query_region
+        if not region.seeded:
+            assert found is None
+            continue
+        assert found is not None
+        assert found.cell_count == region.cell_count
+        assert found.point_count == int(member.sum())
+        assert np.allclose(found.centroid, points[member].mean(axis=0))
 
 
 class TestStructureLadder:

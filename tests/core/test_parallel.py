@@ -292,8 +292,8 @@ def test_parallel_telemetry_parity_with_sequential():
     matter which process runs it.  With worker snapshots merged back,
     the parent registry after ``workers=4`` must show the same
     per-engine counter deltas and the same deterministic histogram
-    observations (``connectivity.flood_fill.calls_per_step`` records
-    one exact value per engine step, always) as the in-process
+    observations (``engine.selected_per_step`` records one exact
+    value per engine step, always) as the in-process
     sequential run.
     """
     ds = clustered_dataset()
@@ -302,10 +302,10 @@ def test_parallel_telemetry_parity_with_sequential():
 
     def run_and_delta(workers: int):
         counters_before = _engine_counter_values()
-        hist_before = _histogram_state("connectivity.flood_fill.calls_per_step")
+        hist_before = _histogram_state("engine.selected_per_step")
         run_batch(search, queries, OracleFactory(), workers=workers)
         counters_after = _engine_counter_values()
-        hist_after = _histogram_state("connectivity.flood_fill.calls_per_step")
+        hist_after = _histogram_state("engine.selected_per_step")
         counter_delta = {
             name: counters_after[name] - counters_before.get(name, 0.0)
             for name in counters_after
@@ -382,9 +382,9 @@ def test_untraced_parallel_batch_ships_no_spans():
 def test_worker_histograms_and_gauges_are_merged():
     ds = clustered_dataset()
     queries = np.array([0, 1], dtype=int)
-    _, _, count_before = _histogram_state("connectivity.flood_fill.calls_per_step")
+    _, _, count_before = _histogram_state("engine.selected_per_step")
     run_parallel_batch(ds, FAST_CONFIG, queries, OracleFactory(), workers=2)
-    _, _, count_after = _histogram_state("connectivity.flood_fill.calls_per_step")
+    _, _, count_after = _histogram_state("engine.selected_per_step")
     assert count_after > count_before, "worker histogram deltas not merged"
     # The workers' KDE caches stored entries; the gauge last-write
     # crossed the boundary.

@@ -4,9 +4,9 @@ The load-bearing guarantee is :func:`repro.density.binned.
 binned_error_bound`: the docstring derives a rigorous uniform bound on
 ``max |f_binned - f_exact|`` and the hypothesis suite here holds the
 implementation to it on random clouds, bandwidths, and grids.  The
-connectivity tests check that the downstream consumers — merge-tree
-region counting and the BFS reference — agree on binned grids exactly
-as they do on exact ones.
+connectivity tests check that merge-tree region counting agrees with
+the ``scipy.ndimage.label`` oracle on binned grids exactly as it does
+on exact ones.
 """
 
 from __future__ import annotations
@@ -25,11 +25,12 @@ from repro.density.binned import (
     subsample_indices,
 )
 from repro.density.cache import disabled_density_cache
-from repro.density.connectivity import bfs_parity, region_count_at
+from repro.density.connectivity import MIN_CORNERS_ABOVE, region_count_at
 from repro.density.grid import DensityGrid
 from repro.density.kde import KernelDensityEstimator
 from repro.exceptions import ConfigurationError, DimensionalityError
 from repro.obs.metrics import counter_values
+from tests.density import oracle
 
 
 def _grid_axes(points, resolution, padding=0.05):
@@ -258,15 +259,13 @@ def test_merge_tree_matches_bfs_on_binned_grids(case, frac):
     with disabled_density_cache():
         grid = DensityGrid(pts, resolution=min(resolution, 24), mode="binned")
     tau = frac * float(grid.density.max())
-    with bfs_parity():
-        reference = region_count_at(grid, tau, method="bfs")
-    assert region_count_at(grid, tau, method="merge_tree") == reference
-    assert region_count_at(grid, tau, method="vectorized") == reference
+    qualifies = grid.corners_above(tau) >= MIN_CORNERS_ABOVE
+    assert region_count_at(grid, tau) == oracle.component_count(qualifies)
 
 
 @pytest.mark.slow
 def test_merge_tree_matches_bfs_at_paper_scale():
-    """Paper-scale binned grid (p=40): full tau sweep, three methods."""
+    """Paper-scale binned grid (p=40): full tau sweep against the oracle."""
     rng = np.random.default_rng(42)
     centers = np.array([[0.0, 0.0], [3.0, 1.0], [-2.0, 2.5]])
     pts = (
@@ -278,9 +277,8 @@ def test_merge_tree_matches_bfs_at_paper_scale():
     peak = float(grid.density.max())
     for frac in np.linspace(0.0, 1.0, 9):
         tau = frac * peak
-        with bfs_parity():
-            reference = region_count_at(grid, tau, method="bfs")
-        assert region_count_at(grid, tau, method="merge_tree") == reference
+        qualifies = grid.corners_above(tau) >= MIN_CORNERS_ABOVE
+        assert region_count_at(grid, tau) == oracle.component_count(qualifies)
 
 
 def test_default_truncate_is_four_sigma():

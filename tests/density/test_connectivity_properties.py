@@ -1,30 +1,29 @@
 """Property-based tests for grid connectivity (hypothesis).
 
-Covers the flood fill's structural invariants (transposition symmetry,
-seed membership, threshold monotonicity) and pins the vectorized
-component labeling of :func:`repro.density.connectivity.component_labels`
-to the pre-vectorization BFS reference sweep on random grids *and* on
-real density-grid corner tests.
+Covers the structural invariants of the merge tree's region lookup
+(transposition symmetry, seed membership, idempotence, threshold
+monotonicity) and pins its regions and component counts to the
+independent ``scipy.ndimage.label`` oracle on random grids *and* on real
+density-grid corner tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.density.connectivity import (
     MIN_CORNERS_ABOVE,
-    bfs_parity,
-    component_labels,
     connected_region,
-    count_components,
-    flood_fill_mask,
     region_count_at,
 )
 from repro.density.grid import DensityGrid
-from repro.exceptions import ConfigurationError
+from repro.density.merge_tree import MergeTree
+from tests.density import oracle
+
+#: Threshold separating the two birth levels of :func:`_tree_of`.
+_TAU = 0.5
 
 
 @st.composite
@@ -56,16 +55,25 @@ def point_clouds(draw):
     return rng.uniform(0.0, 1.0, size=(n, 2))
 
 
+def _tree_of(qualifies: np.ndarray) -> MergeTree:
+    """A merge tree whose qualifying set at :data:`_TAU` is *qualifies*."""
+    return MergeTree.from_births(np.where(qualifies, 1.0, 0.0))
+
+
+def _region(qualifies: np.ndarray, cell: tuple[int, int]) -> np.ndarray:
+    return _tree_of(qualifies).region_at(_TAU, cell)
+
+
 # ----------------------------------------------------------------------
-# flood_fill_mask invariants
+# MergeTree.region_at invariants
 # ----------------------------------------------------------------------
 @given(grids_with_seed_cell())
 @settings(max_examples=60, deadline=None)
 def test_flood_fill_transposition_invariance(case):
-    """Filling the transposed grid from the swapped seed transposes."""
+    """The region of the transposed grid from the swapped seed transposes."""
     q, (i, j) = case
-    direct = flood_fill_mask(q, (i, j))
-    transposed = flood_fill_mask(q.T, (j, i))
+    direct = _region(q, (i, j))
+    transposed = _region(q.T, (j, i))
     assert np.array_equal(transposed, direct.T)
 
 
@@ -74,42 +82,45 @@ def test_flood_fill_transposition_invariance(case):
 def test_flood_fill_seed_membership(case):
     """The seed is in its own region iff it qualifies; mask ⊆ qualifies."""
     q, cell = case
-    mask = flood_fill_mask(q, cell)
+    mask = _region(q, cell)
     assert mask[cell] == q[cell]
     if not q[cell]:
         assert not mask.any()
-    # The fill never escapes the qualifying set.
+    # The region never escapes the qualifying set.
     assert not np.any(mask & ~q)
 
 
 @given(grids_with_seed_cell())
 @settings(max_examples=60, deadline=None)
 def test_flood_fill_idempotent_on_own_region(case):
-    """Re-filling from any member cell reproduces the same region."""
+    """Looking up the region from any member cell reproduces it."""
     q, cell = case
-    mask = flood_fill_mask(q, cell)
+    tree = _tree_of(q)
+    mask = tree.region_at(_TAU, cell)
     members = np.argwhere(mask)
     if members.size == 0:
         return
     other = tuple(int(v) for v in members[len(members) // 2])
-    assert np.array_equal(flood_fill_mask(q, other), mask)
+    assert np.array_equal(tree.region_at(_TAU, other), mask)
 
 
 @given(grids_with_seed_cell(), st.floats(min_value=0.0, max_value=1.0))
 @settings(max_examples=60, deadline=None)
 def test_flood_fill_monotone_in_threshold(case, keep):
-    """Shrinking the qualifying set never grows the region (τ monotone).
+    """Raising tau never grows the region from the same seed.
 
-    ``qualifies`` at a higher noise threshold is always a subset of the
-    lower-threshold set; the region from the same seed must shrink with
-    it.  We model the τ sweep directly as a nested pair of masks.
+    Cells of ``q_lo`` that survive into the nested ``q_hi`` get birth
+    level 2, the rest of ``q_lo`` level 1: one tree then holds both
+    qualifying sets, ``q_lo`` at ``tau = 0.5`` and ``q_hi`` at 1.5.
     """
     q_lo, cell = case
     rng = np.random.default_rng(int(keep * 10_000))
     q_hi = q_lo & (rng.random(q_lo.shape) < keep)  # nested: q_hi ⊆ q_lo
     q_hi[cell] = q_lo[cell]  # keep the seed's own status comparable
-    mask_hi = flood_fill_mask(q_hi, cell)
-    mask_lo = flood_fill_mask(q_lo, cell)
+    tree = MergeTree.from_births(q_lo.astype(float) + q_hi.astype(float))
+    mask_hi = tree.region_at(1.5, cell)
+    mask_lo = tree.region_at(0.5, cell)
+    assert np.array_equal(mask_hi, oracle.region_mask(q_hi, cell))
     assert np.all(mask_lo[mask_hi])
 
 
@@ -126,81 +137,42 @@ def test_region_monotone_in_tau_on_real_grids(points, frac):
 
 
 # ----------------------------------------------------------------------
-# component_labels vs the BFS reference
+# Merge tree vs the ndimage oracle
 # ----------------------------------------------------------------------
 @given(boolean_grids())
 @settings(max_examples=60, deadline=None)
 def test_component_labels_match_flood_fill_partition(q):
-    """Each label class is exactly one flood-fill region."""
-    labels = component_labels(q)
-    assert labels.shape == q.shape
-    assert np.all((labels == -1) == ~q)
-    seen = np.zeros_like(q, dtype=bool)
-    for i, j in np.argwhere(q & ~seen):
-        if seen[i, j]:
-            continue
-        region = flood_fill_mask(q, (int(i), int(j)))
-        seen |= region
-        # All member cells share one label, and nothing else has it.
-        label = labels[i, j]
-        assert np.all((labels == label) == region)
+    """Each oracle label class is exactly one merge-tree region."""
+    tree = _tree_of(q)
+    for i, j in np.argwhere(q):
+        cell = (int(i), int(j))
+        assert np.array_equal(
+            tree.region_at(_TAU, cell), oracle.region_mask(q, cell)
+        )
 
 
 @given(boolean_grids())
 @settings(max_examples=80, deadline=None)
 def test_count_components_vectorized_equals_bfs(q):
-    """The vectorized count agrees with the reference sweep everywhere."""
-    with bfs_parity():
-        assert count_components(q, method="vectorized") == count_components(
-            q, method="bfs"
-        )
+    """The merge-tree component count agrees with the oracle everywhere."""
+    assert _tree_of(q).component_count_at(_TAU) == oracle.component_count(q)
 
 
 @given(point_clouds(), st.floats(min_value=0.0, max_value=1.0))
 @settings(max_examples=20, deadline=None)
 def test_region_count_methods_agree_on_real_grids(points, frac):
-    """All three region counters agree on genuine corner-test grids."""
+    """``region_count_at`` matches the oracle on genuine corner-test grids."""
     grid = DensityGrid(points, resolution=12)
     tau = frac * float(grid.density.max())
-    with bfs_parity():
-        reference = region_count_at(grid, tau, method="bfs")
-    assert region_count_at(grid, tau, method="vectorized") == reference
-    assert region_count_at(grid, tau, method="merge_tree") == reference
-    assert region_count_at(grid, tau) == reference  # merge tree is default
-
-
-def test_component_labels_canonical_roots():
-    """Labels are the smallest flat index of their component."""
-    q = np.array(
-        [
-            [1, 1, 0, 1],
-            [0, 1, 0, 1],
-            [1, 0, 0, 0],
-            [1, 1, 1, 1],
-        ],
-        dtype=bool,
-    )
-    labels = component_labels(q)
-    assert labels[0, 0] == 0 and labels[1, 1] == 0  # top-left blob
-    assert labels[0, 3] == 3 and labels[1, 3] == 3  # right column
-    assert labels[2, 0] == 8  # bottom component rooted at flat id 8
-    assert labels[3, 3] == 8  # connected along the bottom row
-    assert count_components(q) == 3
-
-
-def test_count_components_rejects_unknown_method():
-    with pytest.raises(ConfigurationError):
-        count_components(np.ones((2, 2), dtype=bool), method="magic")
+    qualifies = grid.corners_above(tau) >= MIN_CORNERS_ABOVE
+    assert region_count_at(grid, tau) == oracle.component_count(qualifies)
 
 
 def test_corner_test_qualifying_grid_roundtrip(blob_2d):
-    """End-to-end: corner-test grids feed both counters identically."""
+    """End-to-end: corner-test grids give the oracle's component count."""
     points, _ = blob_2d
     grid = DensityGrid(points, resolution=20)
     for frac in (0.0, 0.1, 0.3, 0.7):
         tau = frac * float(grid.density.max())
         qualifies = grid.corners_above(tau) >= MIN_CORNERS_ABOVE
-        with bfs_parity():
-            assert count_components(qualifies) == count_components(
-                qualifies, method="bfs"
-            )
+        assert region_count_at(grid, tau) == oracle.component_count(qualifies)

@@ -1,10 +1,10 @@
 """Property-based parity tests for the merge-tree connectivity subsystem.
 
-The contract locked in here is the tentpole of ROADMAP item 2: every
-answer the :class:`repro.density.merge_tree.MergeTree` gives — region
-masks, component counts, full τ-sweeps — must be **element-identical**
-to the BFS flood fill over the Definition-2.2 qualifying set, for every
-``tau`` including exact birth-level boundaries and tie-heavy grids.
+Every answer the :class:`repro.density.merge_tree.MergeTree` gives —
+region masks, component counts, full τ-sweeps — must be
+**element-identical** to ``scipy.ndimage.label`` over the Definition-2.2
+qualifying set, for every ``tau`` including exact birth-level boundaries
+and tie-heavy grids.
 
 Golden-journal replay parity (the committed flight-recorder baseline
 re-executing byte-identically through the merge-tree path) is covered
@@ -14,14 +14,12 @@ by ``tests/obs/test_replay.py::test_committed_golden_journal``.
 from __future__ import annotations
 
 import pickle
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.density import connectivity as conn
 from repro.density.cache import (
     DensityGridCache,
     disabled_density_cache,
@@ -30,10 +28,7 @@ from repro.density.cache import (
 )
 from repro.density.connectivity import (
     MIN_CORNERS_ABOVE,
-    bfs_parity,
     connected_region,
-    count_components,
-    flood_fill_mask,
     region_count_at,
 )
 from repro.density.grid import DensityGrid
@@ -41,6 +36,7 @@ from repro.density.merge_tree import MergeTree, cell_birth_levels
 from repro.density.profiles import VisualProfile
 from repro.exceptions import ConfigurationError, DimensionalityError
 from repro.obs.metrics import REGISTRY
+from tests.density import oracle
 
 
 @st.composite
@@ -52,7 +48,7 @@ def density_arrays(draw):
     rng = np.random.default_rng(seed)
     if ties:
         # Small integer range forces many equal birth levels, the case
-        # where sweep ordering could plausibly diverge from the BFS.
+        # where sweep ordering could plausibly diverge from the oracle.
         return rng.integers(0, 4, size=(p, p)).astype(float)
     return rng.random((p, p))
 
@@ -68,20 +64,19 @@ def _taus_for(births: np.ndarray, rng: np.random.Generator) -> list[float]:
 
 
 # ----------------------------------------------------------------------
-# Core parity: merge tree == BFS flood fill, for all tau
+# Core parity: merge tree == ndimage oracle, for all tau
 # ----------------------------------------------------------------------
 @given(density_arrays(), st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=60, deadline=None)
 def test_region_masks_match_flood_fill(density, seed):
-    """``region_at(tau, cell)`` equals the BFS mask for every probed tau."""
+    """``region_at(tau, cell)`` equals the oracle mask for every probed tau."""
     rng = np.random.default_rng(seed)
     births = cell_birth_levels(density)
     tree = MergeTree.from_density(density)
     rows, cols = births.shape
     cell = (int(rng.integers(rows)), int(rng.integers(cols)))
     for tau in _taus_for(births, rng):
-        qualifies = births > tau
-        expected = flood_fill_mask(qualifies, cell)
+        expected = oracle.region_mask(births > tau, cell)
         got = tree.region_at(tau, cell)
         assert np.array_equal(got, expected), (
             f"mask mismatch at tau={tau} cell={cell}"
@@ -91,12 +86,12 @@ def test_region_masks_match_flood_fill(density, seed):
 @given(density_arrays(), st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=60, deadline=None)
 def test_component_counts_match_reference(density, seed):
-    """``component_count_at`` equals ``count_components`` for every tau."""
+    """``component_count_at`` equals the oracle count for every tau."""
     rng = np.random.default_rng(seed)
     births = cell_birth_levels(density)
     tree = MergeTree.from_density(density)
     for tau in _taus_for(births, rng):
-        expected = count_components(births > tau)
+        expected = oracle.component_count(births > tau)
         assert tree.component_count_at(tau) == expected, f"tau={tau}"
 
 
@@ -156,25 +151,25 @@ def test_birth_levels_encode_corner_test(density, tau):
 )
 @settings(max_examples=20, deadline=None)
 def test_connected_region_methods_identical(seed, frac):
-    """``connected_region`` merge-tree vs BFS: same mask, seeded, cell."""
+    """``connected_region`` vs the oracle: same mask, seeded flag, cell."""
     rng = np.random.default_rng(seed)
     points = rng.uniform(0.0, 1.0, size=(40, 2))
     grid = DensityGrid(points, resolution=10)
     query = points[int(rng.integers(points.shape[0]))]
     tau = frac * float(grid.density.max())
-    fast = connected_region(grid, query, tau)
-    with bfs_parity():
-        reference = connected_region(grid, query, tau, method="bfs")
-    assert np.array_equal(fast.mask, reference.mask)
-    assert fast.seeded == reference.seeded
-    assert fast.query_cell == reference.query_cell
-    assert fast.threshold == reference.threshold
+    region = connected_region(grid, query, tau)
+    cell = grid.cell_of(query)
+    qualifies = grid.corners_above(tau) >= MIN_CORNERS_ABOVE
+    assert np.array_equal(region.mask, oracle.region_mask(qualifies, cell))
+    assert region.seeded == bool(qualifies[cell])
+    assert region.query_cell == cell
+    assert region.threshold == tau
 
 
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=15, deadline=None)
 def test_cluster_sweep_matches_per_tau_bfs(seed):
-    """One profile sweep equals the per-threshold BFS cluster masks."""
+    """One profile sweep equals the per-threshold oracle cluster masks."""
     rng = np.random.default_rng(seed)
     points = rng.normal(size=(60, 2))
     profile = VisualProfile.build(points, points[0], resolution=12)
@@ -182,11 +177,10 @@ def test_cluster_sweep_matches_per_tau_bfs(seed):
     taus = np.linspace(0.0, peak, 9)
     sizes, masks = profile.cluster_sweep(points, taus)
     for pos, tau in enumerate(taus):
-        with bfs_parity():
-            region = connected_region(
-                profile.grid, profile.query_2d, float(tau), method="bfs"
-            )
-        expected = conn.points_in_region(profile.grid, region, points)
+        qualifies = profile.grid.corners_above(tau) >= MIN_CORNERS_ABOVE
+        mask = oracle.region_mask(qualifies, profile.grid.cell_of(profile.query_2d))
+        member = profile.grid.cells_of(points)
+        expected = mask[member[:, 0], member[:, 1]]
         assert np.array_equal(masks[pos], expected), f"tau={tau}"
         assert sizes[pos] == int(expected.sum())
 
@@ -280,54 +274,8 @@ def test_merge_tree_validates_inputs():
 
 
 # ----------------------------------------------------------------------
-# Counter family and the BFS deprecation shim
+# Counter family
 # ----------------------------------------------------------------------
-def test_flood_fill_counters_move_in_lockstep():
-    rng = np.random.default_rng(4)
-    points = rng.normal(size=(30, 2))
-    grid = DensityGrid(points, resolution=8)
-    canonical = REGISTRY.counter("connectivity.flood_fill.calls")
-    legacy = REGISTRY.counter("connectivity.flood_fills")
-    c0, l0 = canonical.value, legacy.value
-    with bfs_parity():
-        connected_region(grid, points[0], 0.1, method="bfs")
-    assert canonical.value == c0 + 1
-    assert legacy.value == l0 + 1
-    # The merge-tree path performs no flood fill at all.
-    connected_region(grid, points[0], 0.1)
-    assert canonical.value == c0 + 1
-    assert legacy.value == l0 + 1
-
-
-def test_bfs_outside_parity_warns_once(monkeypatch):
-    monkeypatch.setattr(conn, "_BFS_WARNED", False)
-    q = np.ones((2, 2), dtype=bool)
-    with pytest.warns(DeprecationWarning, match="merge_tree"):
-        count_components(q, method="bfs")
-    # Second use is silent (one-time warning).
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        count_components(q, method="bfs")
-
-
-def test_bfs_parity_context_suppresses_warning(monkeypatch):
-    monkeypatch.setattr(conn, "_BFS_WARNED", False)
-    q = np.ones((2, 2), dtype=bool)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with bfs_parity():
-            count_components(q, method="bfs")
-    assert conn._BFS_WARNED is False
-
-
-def test_connected_region_rejects_unknown_method():
-    rng = np.random.default_rng(5)
-    points = rng.normal(size=(20, 2))
-    grid = DensityGrid(points, resolution=6)
-    with pytest.raises(ConfigurationError):
-        connected_region(grid, points[0], 0.1, method="magic")
-
-
 def test_region_count_default_is_merge_tree():
     rng = np.random.default_rng(6)
     points = rng.normal(size=(40, 2))

@@ -144,25 +144,27 @@ class TestCompare:
         assert not any(r["workload"] == "extra" for r in rows)
 
     @staticmethod
-    def _with_counters(doc, *, fills=0, steps=64, builds=10, fps=0.0):
+    def _with_counters(doc, *, steps=64, builds=10):
         doc["workloads"]["sequential"]["counters"] = {
-            "flood_fills": fills,
             "merge_tree_builds": builds,
             "engine_steps": steps,
-            "fills_per_step": fps,
         }
         return doc
 
-    def test_fills_per_step_is_one_sided(self):
-        """Dropping below the bound is fine; exceeding it regresses."""
-        base = self._with_counters(_payload(), fps=1.0)
-        better = self._with_counters(_payload(), fps=0.0)
-        worse = self._with_counters(_payload(), fps=2.0, fills=128)
-        _, regressions = compare(base, better)
-        assert not any("fills_per_step" in r for r in regressions)
-        _, regressions = compare(base, worse)
-        assert any("fills_per_step" in r for r in regressions)
-        assert any("flood_fills" in r for r in regressions)
+    def test_engine_steps_drift_regresses_at_any_speed(self):
+        """Exact counters regress on drift either way, whatever the wall."""
+        tiny = MIN_COMPARED_SECONDS / 10
+        base = self._with_counters(_payload(wall=tiny), steps=64)
+        for steps in (63, 65):
+            cur = self._with_counters(_payload(wall=tiny), steps=steps)
+            _, regressions = compare(base, cur, threshold=10.0)
+            assert any(
+                f"counters.engine_steps: 64 -> {steps}" in r
+                for r in regressions
+            )
+        same = self._with_counters(_payload(wall=tiny * 100), steps=64)
+        _, regressions = compare(base, same, counters_only=True)
+        assert regressions == []
 
     def test_merge_tree_builds_exact_outside_workers4(self):
         base = self._with_counters(_payload(), builds=10)
@@ -206,7 +208,7 @@ class TestCompare:
         )
         assert regressions == []
         assert rows, "counters-only mode must still compare counts"
-        assert all(r["kind"] in ("count", "bounded") for r in rows)
+        assert all(r["kind"] == "count" for r in rows)
 
     def test_tau_sweep_identity_bit_is_enforced(self):
         base = _payload()
@@ -215,8 +217,6 @@ class TestCompare:
             "taus": 32,
             "grid_resolution": 30,
             "merge_tree_seconds": 0.001,
-            "bfs_seconds": 0.010,
-            "speedup": 10.0,
             "identical": True,
         }
         base["microbench"] = {"tau_sweep": dict(sweep)}
