@@ -24,7 +24,11 @@ import numpy as np
 
 from repro.exceptions import DimensionalityError, SubspaceError
 from repro.geometry.distances import k_smallest_indices
-from repro.geometry.pca import axis_discrimination_ratios, discrimination_ratios
+from repro.geometry.pca import (
+    _covariance_discrimination_ratios,
+    axis_discrimination_ratios,
+    covariance_matrix,
+)
 from repro.geometry.subspace import Subspace
 from repro.obs.metrics import counter
 from repro.obs.trace import span
@@ -120,6 +124,10 @@ def find_query_centered_projection(
     q_coords = current.project(q)
     n, l_c = coords.shape
     support = max(1, min(support, n))
+    # gamma_i of every refinement of every restart is v_i^T Sigma v_i
+    # against this one covariance (the axis-parallel case reads the
+    # per-axis variances directly and needs none).
+    cov = None if axis_parallel else covariance_matrix(coords)
 
     with span(
         "projection.find",
@@ -143,7 +151,7 @@ def find_query_centered_projection(
                     seed[row, axis] = 1.0
             with span("projection.refine", attempt=attempt):
                 ep_basis, dims = _refine_projection(
-                    coords, q_coords, seed, support, axis_parallel=axis_parallel
+                    coords, q_coords, seed, support, cov
                 )
             offsets = (coords - q_coords) @ ep_basis.T
             dists = np.sqrt(np.square(offsets).sum(axis=1))
@@ -198,13 +206,14 @@ def _refine_projection(
     q_coords: np.ndarray,
     seed_basis: np.ndarray,
     support: int,
-    *,
-    axis_parallel: bool,
+    cov: np.ndarray | None,
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """The Fig. 3 refinement loop from a given starting subspace.
 
-    Returns the final 2-row basis (in ``E_c`` coordinates) and the
-    sequence of dimensionalities traversed.
+    *cov* is the covariance of *coords*, or ``None`` for axis-parallel
+    directions (see :func:`_query_cluster_subspace`).  Returns the final
+    2-row basis (in ``E_c`` coordinates) and the sequence of
+    dimensionalities traversed.
     """
     l_c = coords.shape[1]
     ep_basis = seed_basis
@@ -216,9 +225,7 @@ def _refine_projection(
         offsets = (coords - q_coords) @ ep_basis.T
         dists = np.sqrt(np.square(offsets).sum(axis=1))
         cluster_idx = k_smallest_indices(dists, support)
-        ep_basis = _query_cluster_subspace(
-            coords[cluster_idx], coords, new_lp, axis_parallel=axis_parallel
-        )
+        ep_basis = _query_cluster_subspace(coords[cluster_idx], coords, new_lp, cov)
         lp = new_lp
         dims.append(lp)
     if ep_basis.shape[0] != 2:
@@ -250,23 +257,24 @@ def _query_cluster_subspace(
     cluster_coords: np.ndarray,
     all_coords: np.ndarray,
     lp: int,
-    *,
-    axis_parallel: bool,
+    cov: np.ndarray | None,
 ) -> np.ndarray:
     """The paper's ``QueryClusterSubspace`` (Fig. 4), in E_c coordinates.
 
     Returns an orthonormal ``(lp, l_c)`` basis of the directions along
     which the cluster's variance is smallest relative to the global
-    variance.
+    variance.  With ``cov=None`` the directions are the coordinate axes
+    (the axis-parallel case); otherwise they are the cluster's principal
+    components, and *cov* is the covariance of *all_coords*.
     """
-    if axis_parallel:
+    if cov is None:
         _, axes = axis_discrimination_ratios(cluster_coords, all_coords)
         chosen = np.sort(axes[:lp])
         basis = np.zeros((lp, all_coords.shape[1]))
         for row, axis in enumerate(chosen):
             basis[row, axis] = 1.0
         return basis
-    _, eigenvectors = discrimination_ratios(cluster_coords, all_coords)
+    _, eigenvectors = _covariance_discrimination_ratios(cluster_coords, cov)
     return eigenvectors[:lp]
 
 

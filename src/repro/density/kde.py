@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.density.bandwidth import silverman_bandwidth
 from repro.density.cache import get_density_cache
-from repro.density.kernels import KernelFn, gaussian_kernel
+from repro.density.kernels import KernelFn, _gaussian_factor, gaussian_kernel
 from repro.exceptions import ConfigurationError, DimensionalityError, EmptyDatasetError
 from repro.obs.trace import span
 
@@ -176,15 +176,27 @@ class KernelDensityEstimator:
         else:
             hx, hy = self._bandwidth
             n = self._points.shape[0]
-            ux = (gx[:, np.newaxis] - self._points[np.newaxis, :, 0]) / hx  # (px, n)
-            uy = (gy[:, np.newaxis] - self._points[np.newaxis, :, 1]) / hy  # (py, n)
-            kx = self._kernel(ux[..., np.newaxis])  # (px, n)
-            ky = self._kernel(uy[..., np.newaxis])  # (py, n)
+            kx = self._axis_factor(gx, 0)  # (px, n)
+            ky = self._axis_factor(gy, 1)  # (py, n)
             norm = 1.0 / (n * hx * hy)
-            density = (kx @ ky.T) * norm
+            density = kx @ ky.T
+            density *= norm
         if key is not None:
             cache.put(key, density)
         return density
+
+    def _axis_factor(self, grid: np.ndarray, axis: int) -> np.ndarray:
+        """Per-axis kernel factors ``K((grid[i] - x_j) / h)``, ``(p, n)``.
+
+        The Gaussian factor is built in the offsets' own buffer: the
+        values equal the generic ``kernel(u[..., None])`` path bit for
+        bit, without its ``(p, n)`` temporaries.
+        """
+        u = np.subtract.outer(grid, self._points[:, axis])
+        u /= self._bandwidth[axis]
+        if self._kernel is not gaussian_kernel:
+            return self._kernel(u[..., np.newaxis])
+        return _gaussian_factor(u, out=u)
 
     def sample_lateral(
         self,

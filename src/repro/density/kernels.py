@@ -21,12 +21,60 @@ KernelFn = Callable[[np.ndarray], np.ndarray]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
+#: Below this exponent ``np.exp`` leaves the normal range (``exp(-700)``
+#: is ~1e-304; the smallest normal double is ``exp(-708.4)``).
+_EXP_CLAMP = -700.0
+#: Below this exponent the true ``exp`` is under half the smallest
+#: subnormal (``exp(-745.13)``), so it rounds to exactly ``0.0``.
+_EXP_ZERO = -746.0
+
+
+def _exp_nonpositive(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.exp(x)``, bit for bit, without numpy's slow underflow path.
+
+    numpy's SIMD ``exp`` costs about 1 ns per element when the result
+    is a normal double, but about 17 ns when it underflows to zero and
+    about 120 ns when it is subnormal — and a narrow Gaussian kernel
+    drives half of its entries there.  This evaluates ``exp`` on the
+    exponent clamped at ``_EXP_CLAMP`` (always a normal result), zeroes
+    the clamped entries by multiplying with the unclamped mask, and
+    recomputes the exact ``exp`` on the thin ``[_EXP_ZERO, _EXP_CLAMP)``
+    band only (gather/scatter, not a boolean-mask assignment).  Below
+    ``_EXP_ZERO`` the exact result is ``0.0`` as well, so the output is
+    identical to ``np.exp(x)``, NaN and ``-inf`` included.
+
+    *out*, when given, must be a float64 array shaped like *x*; it may
+    be *x* itself.
+    """
+    x = np.asarray(x, dtype=float)
+    if out is None:
+        out = np.empty_like(x)
+    keep = np.greater_equal(x, _EXP_CLAMP)
+    band = np.flatnonzero(np.less(x, _EXP_CLAMP) & np.greater_equal(x, _EXP_ZERO))
+    band_exp = np.exp(x.flat[band])
+    np.maximum(x, _EXP_CLAMP, out=out)
+    np.exp(out, out=out)
+    np.multiply(out, keep, out=out)
+    out.flat[band] = band_exp
+    return out
+
+
+def _gaussian_factor(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-dimension Gaussian ``exp(-u^2 / 2) / sqrt(2 pi)``, elementwise.
+
+    Built in one buffer with the underflow-free ``exp``; *out* may be
+    *u* itself.
+    """
+    out = np.square(u, out=out)
+    out *= -0.5
+    _exp_nonpositive(out, out=out)
+    out /= _SQRT_2PI
+    return out
+
 
 def gaussian_kernel(u: np.ndarray) -> np.ndarray:
     """Product Gaussian kernel — the paper's Eq. (2) per dimension."""
-    u = np.asarray(u, dtype=float)
-    per_dim = np.exp(-0.5 * np.square(u)) / _SQRT_2PI
-    return per_dim.prod(axis=-1)
+    return _gaussian_factor(np.asarray(u, dtype=float)).prod(axis=-1)
 
 
 def epanechnikov_kernel(u: np.ndarray) -> np.ndarray:

@@ -139,16 +139,26 @@ def k_smallest_indices(values: np.ndarray, k: int) -> np.ndarray:
 
     Deterministic tie-break: equal values are ordered by index, so
     repeated runs with identical inputs select identical neighbors.
+    The result equals ``np.argsort(values, kind="stable")[:k]`` exactly,
+    ties, infinities and NaN included.
+
+    Selection is ``O(n)``: a partition finds the *k*-th smallest value,
+    and only the candidates not above it are stable-sorted.  Those
+    candidates are a prefix of the full stable order, so its first *k*
+    entries are the answer.  When ``k >= n`` or the *k*-th value is
+    NaN the full stable sort is used instead.
     """
     values = np.asarray(values)
     n = values.shape[0]
     if k <= 0:
         return np.empty(0, dtype=int)
-    k = min(k, n)
-    # argsort is O(n log n) but stable and deterministic; n is small in
-    # this library's workloads (<= tens of thousands).
-    order = np.argsort(values, kind="stable")
-    return order[:k]
+    if k < n:
+        kth = np.partition(values, k - 1)[k - 1]
+        if kth == kth:  # not NaN
+            candidates = np.flatnonzero(values <= kth)
+            order = np.argsort(values[candidates], kind="stable")
+            return candidates[order[:k]]
+    return np.argsort(values, kind="stable")[:k]
 
 
 def nearest_neighbors(

@@ -125,9 +125,37 @@ def discrimination_ratios(
     with span("geometry.discrimination", dim=int(np.shape(all_points)[-1])):
         pca = principal_components(cluster_points)
         global_var = variance_along_directions(all_points, pca.eigenvectors)
-        ratios = pca.eigenvalues / np.maximum(global_var, eps)
-        order = np.argsort(ratios, kind="stable")
-        return ratios[order], pca.eigenvectors[order]
+        return _ranked_ratios(pca, global_var, eps)
+
+
+def _covariance_discrimination_ratios(
+    cluster_points: np.ndarray,
+    global_cov: np.ndarray,
+    *,
+    eps: float = 1e-12,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`discrimination_ratios` given the data's covariance matrix.
+
+    ``gamma_i`` is read off *global_cov* as ``v_i^T Sigma v_i`` —
+    ``O(d^3)`` instead of an ``O(n d^2)`` pass over the data.  Callers
+    that rank many query clusters against the same data set (the
+    projection search) compute ``Sigma`` once and reuse it.
+    """
+    _DISCRIMINATIONS.inc()
+    with span("geometry.discrimination", dim=int(global_cov.shape[0])):
+        pca = principal_components(cluster_points)
+        vecs = pca.eigenvectors
+        global_var = np.einsum("ij,jk,ik->i", vecs, global_cov, vecs)
+        return _ranked_ratios(pca, global_var, eps)
+
+
+def _ranked_ratios(
+    pca: PCAResult, global_var: np.ndarray, eps: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``lambda_i / gamma_i`` and eigenvectors, by ascending ratio."""
+    ratios = pca.eigenvalues / np.maximum(global_var, eps)
+    order = np.argsort(ratios, kind="stable")
+    return ratios[order], pca.eigenvectors[order]
 
 
 def axis_discrimination_ratios(

@@ -3,11 +3,19 @@
 import numpy as np
 import pytest
 
+from repro.core import projections
 from repro.core.projections import (
     find_query_centered_projection,
     orthogonal_projection_sequence,
 )
 from repro.exceptions import SubspaceError
+from repro.geometry.pca import (
+    _covariance_discrimination_ratios,
+    covariance_matrix,
+    discrimination_ratios,
+    principal_components,
+    variance_along_directions,
+)
 from repro.geometry.subspace import Subspace
 
 
@@ -168,3 +176,67 @@ class TestOrthogonalSequence:
         points = rng.normal(size=(100, 7))
         results = orthogonal_projection_sequence(points, points[0], 7, 10)
         assert len(results) == 3  # floor(7/2), one dimension unused
+
+
+def _reference_cluster_subspace(cluster_coords, all_coords, lp, cov):
+    """Fig. 4 with gamma_i re-projected from every point per refinement."""
+    assert cov is not None
+    pca = principal_components(cluster_coords)
+    gamma = variance_along_directions(all_coords, pca.eigenvectors)
+    ratios = pca.eigenvalues / np.maximum(gamma, 1e-12)
+    return pca.eigenvectors[np.argsort(ratios, kind="stable")][:lp]
+
+
+class TestCovarianceGamma:
+    """One covariance per projection search, same answer as re-projecting."""
+
+    @pytest.fixture(params=["embedded8", "clustered16"])
+    def workload(self, request, embedded_cluster):
+        if request.param == "embedded8":
+            points, query, _ = embedded_cluster
+            return points, query, Subspace.full(8)
+        rng = np.random.default_rng(17)
+        points = rng.normal(size=(900, 16)) * rng.uniform(0.5, 3.0, size=16)
+        points[:200, 3:8] = rng.normal(0.0, 0.05, size=(200, 5))
+        return points, points[0], Subspace.from_axes(list(range(1, 15)), 16)
+
+    def test_projection_matches_per_refinement_reference(
+        self, workload, monkeypatch
+    ):
+        points, query, current = workload
+
+        def search():
+            return find_query_centered_projection(
+                points, query, current, support=30, axis_parallel=False,
+                restarts=4, rng=np.random.default_rng(2),
+            )
+
+        fast = search()
+        calls = []
+
+        def reference(*args):
+            calls.append(1)
+            return _reference_cluster_subspace(*args)
+
+        monkeypatch.setattr(projections, "_query_cluster_subspace", reference)
+        slow = search()
+        assert len(calls) > 4  # every restart refined at least once
+        assert np.array_equal(fast.projection.basis, slow.projection.basis)
+        assert np.array_equal(
+            fast.query_cluster_indices, slow.query_cluster_indices
+        )
+        assert fast.refinement_dims == slow.refinement_dims
+
+    def test_covariance_gamma_agrees_with_reprojection(self, workload):
+        # Both sides share the cluster PCA (lambda_i, v_i), so the ratios
+        # lambda_i / gamma_i agree exactly as far as the gammas do.
+        points, _, current = workload
+        coords = current.project(points)
+        cov = covariance_matrix(coords)
+        rng = np.random.default_rng(8)
+        for size in (5, 30, 120):
+            cluster = coords[rng.choice(coords.shape[0], size=size, replace=False)]
+            fast_ratios, fast_vecs = _covariance_discrimination_ratios(cluster, cov)
+            ratios, vecs = discrimination_ratios(cluster, coords)
+            np.testing.assert_allclose(fast_ratios, ratios, rtol=1e-12, atol=0)
+            assert np.array_equal(fast_vecs, vecs)
