@@ -22,6 +22,7 @@ special casing.  See ``docs/ENGINE.md`` for the format.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -348,26 +349,10 @@ def checkpoint_to_dict(engine: SearchEngine) -> dict[str, Any]:
         minor=state.minor,
         step=state.step,
     ):
-        config = engine.config
         payload = {
             "format": CHECKPOINT_FORMAT,
             "version": CHECKPOINT_VERSION,
-            "config": {
-                "support": config.support,
-                "axis_parallel": config.axis_parallel,
-                "grid_resolution": config.grid_resolution,
-                "bandwidth_scale": config.bandwidth_scale,
-                "overlap_threshold": config.overlap_threshold,
-                "min_major_iterations": config.min_major_iterations,
-                "max_major_iterations": config.max_major_iterations,
-                "projection_restarts": config.projection_restarts,
-                "projection_weight": config.projection_weight,
-                "remove_unpicked": config.remove_unpicked,
-                "use_live_population": config.use_live_population,
-                "kde_mode": config.kde_mode,
-                "kde_subsample": config.kde_subsample,
-                "rng_seed": config.rng_seed,
-            },
+            "config": dataclasses.asdict(engine.config),
             "dataset": dataset_fingerprint(engine.dataset),
             "state": {
                 "query": state.query.tolist(),

@@ -456,8 +456,8 @@ class MetricsRegistry:
         """Schema-versioned JSON document of the whole registry.
 
         This is the ``metrics.json`` payload written by the CLI's
-        ``--metrics-out`` flag and consumed by
-        ``python -m repro serve-metrics --from-json``.
+        ``--metrics-out`` flag and served by the session service's
+        ``GET /metrics.json``.
         """
         return {
             "format": "repro.metrics",

@@ -12,8 +12,9 @@ transition, so the registry can expose
   cumulative ``sessions.finished`` counter) through the ordinary
   metrics registry, and
 * per-session labeled gauge series (steps, views, age, idle time)
-  appended to the OpenMetrics exposition, plus the JSON detail behind
-  the ``serve-metrics`` server's ``/sessions`` endpoint.
+  spliced into the session service's ``/metrics`` exposition, plus
+  per-session JSON detail for in-process introspection
+  (:meth:`SessionRegistry.snapshot`).
 
 Bookkeeping is a few dictionary writes and one monotonic clock read
 per engine transition — cheap enough to stay always-on, like the
@@ -226,7 +227,7 @@ class SessionRegistry:
             return self._counts_locked()
 
     def snapshot(self) -> list[dict[str, Any]]:
-        """Per-session detail, newest first (the ``/sessions`` payload)."""
+        """Per-session detail, newest first (in-process introspection)."""
         now = time.monotonic()
         with self._lock:
             infos = sorted(
@@ -237,9 +238,11 @@ class SessionRegistry:
     def openmetrics_lines(self, *, prefix: str = "repro_") -> list[str]:
         """Per-session labeled gauge series for the text exposition.
 
-        Only unfinished (live/suspended) sessions are exported as
-        labeled series — finished sessions would accumulate dead label
-        sets in a scraper; their detail stays on ``/sessions``.
+        The session service's ``GET /metrics`` splices these in before
+        the ``# EOF`` terminator.  Only unfinished (live/suspended)
+        sessions are exported as labeled series — finished sessions
+        would accumulate dead label sets in a scraper; their detail
+        stays in :meth:`snapshot`.
         """
         now = time.monotonic()
         with self._lock:

@@ -73,10 +73,7 @@ from repro.obs.journal import SessionJournal
 from repro.obs.labels import LabeledCounter, LabeledHistogram
 from repro.obs.logging import AccessLogWriter, get_logger
 from repro.obs.metrics import METRICS_SCHEMA_VERSION, REGISTRY, counter, gauge, histogram
-from repro.obs.openmetrics import (
-    OPENMETRICS_CONTENT_TYPE,
-    render_live_openmetrics,
-)
+from repro.obs.openmetrics import OPENMETRICS_CONTENT_TYPE, render_openmetrics
 from repro.obs.registry import SESSIONS
 from repro.obs.slo import SloTracker
 from repro.obs.trace import span
@@ -497,27 +494,21 @@ class SessionService:
         if parts == ["slo"] and method == "GET":
             return json_response(200, self._slo.snapshot())
         if parts == ["metrics"] and method == "GET":
-            text = render_live_openmetrics()
-            slo_lines = self._slo.openmetrics_lines()
-            if slo_lines:
+            # Per-session then SLO series, spliced in before the one
+            # ``# EOF`` terminator the registry rendering ends with.
+            text = render_openmetrics()
+            extra = SESSIONS.openmetrics_lines() + self._slo.openmetrics_lines()
+            if extra:
                 eof = "# EOF\n"
                 assert text.endswith(eof)
-                text = text[: -len(eof)] + "\n".join(slo_lines) + "\n" + eof
-            response = HttpResponse(
+                text = text[: -len(eof)] + "\n".join(extra) + "\n" + eof
+            return HttpResponse(
                 status=200,
                 body=text.encode("utf-8"),
                 content_type=OPENMETRICS_CONTENT_TYPE,
             )
-            return response
         if parts == ["metrics.json"] and method == "GET":
-            return json_response(
-                200,
-                {
-                    "format": "repro.metrics",
-                    "schema_version": METRICS_SCHEMA_VERSION,
-                    "metrics": REGISTRY.snapshot(),
-                },
-            )
+            return json_response(200, REGISTRY.to_dict())
         if parts == ["datasets"] and method == "GET":
             return json_response(200, {"datasets": self.datasets()})
         if parts == ["sessions"]:

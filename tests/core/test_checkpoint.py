@@ -9,6 +9,7 @@ session records.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -35,6 +36,24 @@ CONFIG = SearchConfig(
     min_major_iterations=2,
     max_major_iterations=3,
     projection_restarts=2,
+)
+
+#: A config whose every field differs from the SearchConfig default.
+OFF_DEFAULT_CONFIG = SearchConfig(
+    support=11,
+    axis_parallel=True,
+    grid_resolution=24,
+    bandwidth_scale=0.5,
+    overlap_threshold=0.9,
+    min_major_iterations=2,
+    max_major_iterations=4,
+    projection_restarts=2,
+    projection_weight=2.0,
+    remove_unpicked=False,
+    use_live_population=False,
+    kde_mode="binned",
+    kde_subsample=1024,
+    rng_seed=5,
 )
 
 
@@ -129,6 +148,21 @@ def test_save_and_load_checkpoint_roundtrip(tmp_path, clustered):
     resumed, pending = resume_engine(payload, clustered)
     result = drive_pending(resumed, pending, OracleUser(clustered, qi))
     _assert_identical(result, _baseline(clustered, qi))
+
+    # Every SearchConfig field off its default survives the round trip.
+    assert all(
+        getattr(OFF_DEFAULT_CONFIG, f.name) != f.default
+        for f in dataclasses.fields(SearchConfig)
+    )
+    engine = SearchEngine(clustered, OFF_DEFAULT_CONFIG)
+    engine.start(clustered.points[qi])
+    path = save_checkpoint(engine, tmp_path / "off-default.ckpt.json")
+    engine.close()
+    payload = load_checkpoint(path)
+    assert payload["config"] == dataclasses.asdict(OFF_DEFAULT_CONFIG)
+    resumed, _ = resume_engine(payload, clustered)
+    assert resumed.config == OFF_DEFAULT_CONFIG
+    resumed.close()
 
 
 def test_checkpoint_requires_pending_decision(clustered):

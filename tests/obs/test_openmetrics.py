@@ -1,21 +1,19 @@
-"""OpenMetrics exposition, metrics files, digest, and the scrape server."""
+"""OpenMetrics exposition, metrics files, the end-of-run digest, and the
+session series in the live ``/metrics``."""
 
 from __future__ import annotations
 
 import json
-import urllib.error
 import urllib.request
-
-import pytest
 
 from repro.obs.metrics import METRICS_SCHEMA_VERSION, MetricsRegistry
 from repro.obs.openmetrics import (
-    OPENMETRICS_CONTENT_TYPE,
     render_metrics_digest,
     render_openmetrics,
-    start_metrics_server,
     write_metrics,
 )
+from repro.obs.registry import SESSIONS
+from repro.service.app import ServiceRuntime, SessionService
 
 
 def _populated_registry() -> MetricsRegistry:
@@ -95,6 +93,16 @@ class TestWriteMetrics:
         )
         assert path.exists()
 
+    def test_prom_file_has_no_session_series(self, tmp_path):
+        # Per-session series belong to the live service's /metrics
+        # only; a file export describes the registry alone.
+        sid = SESSIONS.register(dataset="test-ds", n_points=10, dim=3)
+        try:
+            path = write_metrics(tmp_path / "m.prom", _populated_registry())
+            assert "repro_session_steps" not in path.read_text()
+        finally:
+            SESSIONS.finish(sid, reason="test")
+
 
 class TestDigest:
     def test_cache_line_and_histogram_percentiles(self):
@@ -123,168 +131,20 @@ class TestDigest:
         assert "(no instruments populated)" in digest
 
 
-class TestServer:
-    def test_serves_live_registry(self):
-        registry = _populated_registry()
-        server = start_metrics_server(0, registry=registry)
-        try:
-            url = f"http://127.0.0.1:{server.port}/metrics"
-            with urllib.request.urlopen(url, timeout=5) as response:
-                assert response.headers["Content-Type"] == (
-                    OPENMETRICS_CONTENT_TYPE
-                )
-                body = response.read().decode()
-            assert "repro_batch_parallel_tasks_total 8" in body
-            # Live mode: a later increment shows up on the next scrape.
-            registry.counter("batch.parallel.tasks").inc(1)
-            with urllib.request.urlopen(url, timeout=5) as response:
-                assert "repro_batch_parallel_tasks_total 9" in (
-                    response.read().decode()
-                )
-            assert server.request_count == 2
-        finally:
-            server.stop()
-
-    def test_serves_metrics_json(self):
-        server = start_metrics_server(0, registry=_populated_registry())
-        try:
-            url = f"http://127.0.0.1:{server.port}/metrics.json"
-            with urllib.request.urlopen(url, timeout=5) as response:
-                payload = json.loads(response.read().decode())
-            assert payload["format"] == "repro.metrics"
-            assert "kde.grid.eval_seconds" in payload["metrics"]
-        finally:
-            server.stop()
-
-    def test_serves_frozen_snapshot(self):
-        payload = _populated_registry().to_dict()
-        server = start_metrics_server(0, snapshot_payload=payload)
-        try:
-            url = f"http://127.0.0.1:{server.port}/metrics"
-            with urllib.request.urlopen(url, timeout=5) as response:
-                body = response.read().decode()
-            assert "repro_kde_cache_entries 25" in body
-        finally:
-            server.stop()
-
-    def test_unknown_path_is_404(self):
-        server = start_metrics_server(0, registry=MetricsRegistry())
-        try:
-            url = f"http://127.0.0.1:{server.port}/nope"
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(url, timeout=5)
-            assert excinfo.value.code == 404
-        finally:
-            server.stop()
-
-    def test_registry_and_snapshot_are_exclusive(self):
-        from repro.obs.openmetrics import MetricsServer
-
-        with pytest.raises(ValueError):
-            MetricsServer(
-                ("127.0.0.1", 0),
-                registry=MetricsRegistry(),
-                snapshot_payload={"metrics": {}},
-            )
-
-
 class TestHealthAndSessions:
-    def test_healthz(self):
-        server = start_metrics_server(0, registry=MetricsRegistry())
-        try:
-            url = f"http://127.0.0.1:{server.port}/healthz"
-            with urllib.request.urlopen(url, timeout=5) as response:
-                assert response.headers["Content-Type"].startswith(
-                    "application/json"
-                )
-                payload = json.loads(response.read().decode())
-            assert payload["status"] == "ok"
-            assert payload["source"] == "live"
-            assert payload["uptime_seconds"] >= 0.0
-            assert payload["schema_version"] == METRICS_SCHEMA_VERSION
-            assert set(payload["sessions"]) == {
-                "live",
-                "suspended",
-                "finished",
-                "failed",
-            }
-        finally:
-            server.stop()
-
-    def test_healthz_reports_snapshot_source(self):
-        payload = _populated_registry().to_dict()
-        server = start_metrics_server(0, snapshot_payload=payload)
-        try:
-            url = f"http://127.0.0.1:{server.port}/healthz"
-            with urllib.request.urlopen(url, timeout=5) as response:
-                health = json.loads(response.read().decode())
-            assert health["source"] == "snapshot"
-        finally:
-            server.stop()
-
-    def test_sessions_endpoint_lists_registered_sessions(self):
-        from repro.obs.registry import SESSIONS
-
-        sid = SESSIONS.register(dataset="test-ds", n_points=42, dim=5)
-        server = start_metrics_server(0, registry=MetricsRegistry())
-        try:
-            url = f"http://127.0.0.1:{server.port}/sessions"
-            with urllib.request.urlopen(url, timeout=5) as response:
-                payload = json.loads(response.read().decode())
-            assert payload["counts"]["live"] >= 1
-            entry = next(
-                s
-                for s in payload["sessions"]
-                if s["session_id"] == sid
-            )
-            assert entry["dataset"] == "test-ds"
-            assert entry["n_points"] == 42
-        finally:
-            server.stop()
-            SESSIONS.finish(sid, reason="test")
-
     def test_live_exposition_includes_session_series(self):
-        from repro.obs.registry import SESSIONS
-
+        # The session service's /metrics is the one live exposition; it
+        # splices every registered session's series above the terminator.
         sid = SESSIONS.register(dataset="test-ds", n_points=10, dim=3)
-        server = start_metrics_server(0, registry=MetricsRegistry())
         try:
-            url = f"http://127.0.0.1:{server.port}/metrics"
-            with urllib.request.urlopen(url, timeout=5) as response:
-                body = response.read().decode()
+            with ServiceRuntime(SessionService()) as runtime:
+                url = f"{runtime.base_url}/metrics"
+                with urllib.request.urlopen(url, timeout=10) as response:
+                    body = response.read().decode()
             assert f'repro_session_steps{{session="{sid}"' in body
             assert body.endswith("# EOF\n")
+            assert body.count("# EOF") == 1
             # Session series sit above the terminator, not after it.
             assert body.index("repro_session_steps") < body.index("# EOF")
         finally:
-            server.stop()
             SESSIONS.finish(sid, reason="test")
-
-    def test_snapshot_exposition_has_no_session_series(self):
-        from repro.obs.registry import SESSIONS
-
-        sid = SESSIONS.register(dataset="test-ds", n_points=10, dim=3)
-        payload = _populated_registry().to_dict()
-        server = start_metrics_server(0, snapshot_payload=payload)
-        try:
-            url = f"http://127.0.0.1:{server.port}/metrics"
-            with urllib.request.urlopen(url, timeout=5) as response:
-                body = response.read().decode()
-            # Frozen snapshots describe another process's registry; this
-            # process's sessions must not leak into them.
-            assert "repro_session_steps" not in body
-        finally:
-            server.stop()
-            SESSIONS.finish(sid, reason="test")
-
-    def test_404_lists_known_paths(self):
-        server = start_metrics_server(0, registry=MetricsRegistry())
-        try:
-            url = f"http://127.0.0.1:{server.port}/nope"
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(url, timeout=5)
-            body = excinfo.value.read().decode()
-            for path in ("/metrics", "/metrics.json", "/sessions", "/healthz"):
-                assert path in body
-        finally:
-            server.stop()

@@ -16,6 +16,7 @@ import pytest
 from repro.core.config import SearchConfig
 from repro.interaction.oracle import OracleUser
 from repro.obs.labels import parse_labeled_name
+from repro.obs.openmetrics import OPENMETRICS_CONTENT_TYPE
 from repro.obs.replay import inspect_journal
 from repro.service.app import ServiceRuntime, SessionService, route_template
 from repro.service.client import (
@@ -188,6 +189,46 @@ class TestMetricsSurfaces:
         assert "# TYPE repro_slo_burn_rate gauge" in text
         assert 'repro_slo_state{route="/healthz"}' in text
         assert text.endswith("# EOF\n")
+
+    def test_metrics_exposition_includes_session_series(
+        self, server, small_service_dataset
+    ):
+        async def scenario():
+            async with ServiceClient("127.0.0.1", server.port) as client:
+                created = await client.expect(
+                    201,
+                    "POST",
+                    "/sessions",
+                    {
+                        "dataset": "small",
+                        "config": FAST_CONFIG,
+                        "query": query_of(small_service_dataset),
+                    },
+                )
+                info = await client.expect(
+                    200, "GET", f"/sessions/{created['session']}"
+                )
+                _, text = await client.request("GET", "/metrics")
+                content_type = client.last_response_headers["content-type"]
+                return info, text.decode("utf-8"), content_type
+
+        info, text, content_type = run_async(scenario())
+        assert content_type == OPENMETRICS_CONTENT_TYPE
+        assert info["status"] == "awaiting_decision"
+        series = (
+            f'repro_session_steps{{session="{info["registry_id"]}",'
+            'state="suspended"}'
+        )
+        assert series in text
+        # Registry families, then session series, then SLO series, then
+        # the one terminator.
+        assert (
+            text.index("repro_service_requests_total")
+            < text.index(series)
+            < text.index("repro_slo_")
+        )
+        assert text.endswith("# EOF\n")
+        assert text.count("# EOF") == 1
 
     def test_slo_endpoint_shape(self, server):
         async def scenario():

@@ -315,93 +315,51 @@ class TestBatchCommand:
         assert workers <= event_pids
 
 
-class TestServeMetrics:
-    def _scrape_in_background(self, monkeypatch):
-        """Patch the server factory so a scraper thread can find the port."""
-        import repro.obs.openmetrics as openmetrics
+class TestServe:
+    def test_parser_defaults(self):
+        args = build_parser().parse_args(["serve"])
+        assert args.port == 8472
+        assert args.host == "127.0.0.1"
+        assert args.max_requests == 0
 
-        real = openmetrics.start_metrics_server
-        servers: list = []
+    def test_malformed_dataset_exits_2(self, capsys):
+        code = main(["serve", "--port", "0", "--dataset", "no-equals-sign"])
+        assert code == 2
+        assert "NAME=PROVENANCE_JSON" in capsys.readouterr().err
+
+    def test_serves_until_max_requests(self, capsys, monkeypatch):
+        from repro.service.app import ServiceRuntime
+
+        real_start = ServiceRuntime.start
+        runtimes: list = []
         bodies: dict = {}
 
-        def capturing(*args, **kwargs):
-            server = real(*args, **kwargs)
-            servers.append(server)
-            return server
+        def capturing(self):
+            runtime = real_start(self)
+            runtimes.append(runtime)
+            return runtime
 
-        monkeypatch.setattr(openmetrics, "start_metrics_server", capturing)
+        monkeypatch.setattr(ServiceRuntime, "start", capturing)
 
         def scrape():
-            deadline = time.time() + 10
-            while not servers and time.time() < deadline:
+            deadline = time.time() + 30
+            while not runtimes and time.time() < deadline:
                 time.sleep(0.01)
-            url = f"http://127.0.0.1:{servers[0].port}/metrics"
-            with urllib.request.urlopen(url, timeout=5) as response:
-                bodies["text"] = response.read().decode()
+            base = f"http://127.0.0.1:{runtimes[0].port}"
+            for path in ("/healthz", "/metrics"):
+                with urllib.request.urlopen(base + path, timeout=10) as resp:
+                    bodies[path] = resp.read().decode()
 
         thread = threading.Thread(target=scrape, daemon=True)
         thread.start()
-        return thread, bodies
-
-    def test_serves_snapshot_until_max_requests(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        metrics = tmp_path / "metrics.json"
-        assert (
-            main(
-                [
-                    "--metrics-out",
-                    str(metrics),
-                    "demo",
-                    "--points",
-                    "400",
-                    "--support",
-                    "10",
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        thread, bodies = self._scrape_in_background(monkeypatch)
-        code = main(
-            [
-                "serve-metrics",
-                "--port",
-                "0",
-                "--from-json",
-                str(metrics),
-                "--max-requests",
-                "1",
-            ]
-        )
+        code = main(["serve", "--port", "0", "--max-requests", "2"])
         thread.join(timeout=10)
         assert code == 0
-        assert "repro_engine_steps_total" in bodies["text"]
-        assert bodies["text"].endswith("# EOF\n")
+        assert json.loads(bodies["/healthz"])["status"] == "ok"
+        assert bodies["/metrics"].endswith("# EOF\n")
         out = capsys.readouterr().out
-        assert "serving snapshot" in out
-        assert "served 1 request(s)" in out
-
-    def test_rejects_non_metrics_json(self, capsys, tmp_path):
-        bogus = tmp_path / "bogus.json"
-        bogus.write_text(json.dumps({"format": "something-else"}))
-        code = main(["serve-metrics", "--from-json", str(bogus)])
-        assert code == 2
-        assert "repro.metrics" in capsys.readouterr().err
-
-    def test_rejects_missing_file(self, capsys, tmp_path):
-        code = main(
-            ["serve-metrics", "--from-json", str(tmp_path / "missing.json")]
-        )
-        assert code == 2
-        assert "cannot load" in capsys.readouterr().err
-
-    def test_parser_defaults(self):
-        args = build_parser().parse_args(["serve-metrics"])
-        assert args.port == 9464
-        assert args.host == "127.0.0.1"
-        assert args.from_json is None
-        assert args.max_requests == 0
+        assert "session service on http://127.0.0.1:" in out
+        assert "served 2 request(s)" in out
 
 
 class TestJournalFlags:
