@@ -19,8 +19,7 @@ Modes
 
 Workload matrix (``--quick`` halves the sizes and drops a cell):
 
-* ``sequential``      — ``run_batch(workers=1, max_in_flight=1)``
-* ``interleaved``     — ``run_batch(workers=1, max_in_flight=8)``
+* ``sequential``      — ``run_batch(workers=1)``
 * ``workers4``        — ``run_batch(workers=4)`` (worker telemetry ships
   home, so the per-phase aggregate covers worker-side spans too)
 * ``sequential_nocache`` — sequential with the KDE grid cache disabled
@@ -371,21 +370,17 @@ def run_matrix(
     factory = OracleFactory()
 
     def sequential(search):
-        return run_batch(search, query_indices, factory, max_in_flight=1)
-
-    def interleaved(search):
-        return run_batch(search, query_indices, factory, max_in_flight=8)
+        return run_batch(search, query_indices, factory)
 
     def workers4(search):
         return run_batch(search, query_indices, factory, workers=4)
 
     def sequential_nocache(search):
         with disabled_density_cache():
-            return run_batch(search, query_indices, factory, max_in_flight=1)
+            return run_batch(search, query_indices, factory)
 
     cells: dict[str, Callable[..., Any]] = {
         "sequential": sequential,
-        "interleaved": interleaved,
         "workers4": workers4,
         "sequential_nocache": sequential_nocache,
     }
@@ -430,7 +425,7 @@ def run_matrix(
             # exact function of the workload, not of whatever grids the
             # earlier cells happened to leave in the process-wide cache.
             with disabled_density_cache():
-                return run_batch(search, _queries, factory, max_in_flight=1)
+                return run_batch(search, _queries, factory)
 
         workloads[cell_name] = _run_cell(
             dataset,

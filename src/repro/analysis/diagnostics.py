@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.quality import SteepDrop, natural_neighbors, steep_drop_analysis
-from repro.core.search import SearchResult
+from repro.core.engine import SearchResult
 
 
 @dataclass(frozen=True)

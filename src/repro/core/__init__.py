@@ -19,15 +19,11 @@ from repro.core.engine import (
     EnginePhase,
     EngineState,
     SearchEngine,
-    ViewRequest,
-)
-from repro.core.search import (
-    InteractiveNNSearch,
     SearchResult,
     TerminationReason,
-    drive,
-    drive_pending,
+    ViewRequest,
 )
+from repro.core.search import InteractiveNNSearch, drive, drive_pending
 from repro.core.batch import BatchEntry, BatchResult, run_batch
 from repro.core.counting import prune_unpicked
 from repro.core.parallel import (

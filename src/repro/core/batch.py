@@ -5,14 +5,12 @@ points"); so do the benchmarks.  This module formalizes that loop:
 run a configured search for every query, collect the per-query results
 and diagnoses, and summarize.
 
-Since the sans-io refactor the batch runner is an **interleaved
-round-robin scheduler** over suspended :class:`~repro.core.engine.
-SearchEngine` instances: up to ``max_in_flight`` engines are live at
-once and each scheduler pass feeds every pending engine exactly one
-user decision.  Engines are fully isolated (own RNG, own state), so the
-per-query results are identical to sequential execution for every
-``max_in_flight`` — ``max_in_flight=1`` *is* the classic sequential
-loop.  All engines share one :class:`~repro.core.engine.
+Every query, in process or in a worker of the process pool, goes
+through one function, :func:`run_query`, which drives a fresh
+:class:`~repro.core.engine.SearchEngine` with
+:func:`repro.core.search.drive`.  Engines are fully isolated (own RNG,
+own state), so a query's outcome does not depend on which process runs
+it or in what order.  All engines share one :class:`~repro.core.engine.
 DatasetPrecomputation` so per-dataset work (full point array, ambient
 subspace, global statistics) happens once per batch instead of once per
 query.
@@ -28,10 +26,12 @@ import numpy as np
 
 from repro.analysis.diagnostics import MeaningfulnessDiagnosis, diagnose
 from repro.analysis.quality import natural_neighbors
-from repro.core.engine import DatasetPrecomputation, SearchEngine, ViewRequest
-from repro.core.search import InteractiveNNSearch, SearchResult
+from repro.core.config import SearchConfig
+from repro.core.engine import DatasetPrecomputation, SearchEngine, SearchResult
+from repro.core.search import InteractiveNNSearch, drive
+from repro.data.dataset import Dataset
 from repro.exceptions import ConfigurationError
-from repro.interaction.base import UserAgent, validate_decision
+from repro.interaction.base import UserAgent
 from repro.interaction.factories import UserFactoryLike, build_user
 from repro.obs.logging import get_logger
 from repro.obs.metrics import counter
@@ -40,12 +40,8 @@ from repro.obs.trace import span
 _log = get_logger("core.batch")
 
 _BATCHES = counter("batch.runs")
-_BATCH_STEPS = counter("batch.steps")
 
 UserFactory = Callable[[int], UserAgent]
-
-#: Default number of engines the scheduler keeps suspended at once.
-DEFAULT_MAX_IN_FLIGHT = 8
 
 
 @dataclass(frozen=True)
@@ -125,17 +121,6 @@ class BatchResult:
         return self.entry_of(query_index).neighbors
 
 
-@dataclass
-class _Slot:
-    """One in-flight engine tracked by the round-robin scheduler."""
-
-    position: int
-    query_index: int
-    engine: SearchEngine
-    user: UserAgent
-    event: ViewRequest
-
-
 def journal_filename(position: int, query_index: int) -> str:
     """Canonical per-query journal filename inside a ``journal_dir``."""
     return f"session-{position:04d}-q{query_index}.jsonl"
@@ -158,12 +143,6 @@ def _open_journal(
         Path(journal_dir) / journal_filename(position, query_index),
         provenance=provenance,
     )
-
-
-def _close_journal(engine: SearchEngine) -> None:
-    """Close an engine's journal once its run has been finalized."""
-    if engine.journal is not None:
-        engine.journal.close()
 
 
 def _finalize_entry(
@@ -189,12 +168,50 @@ def _finalize_entry(
         )
 
 
+def run_query(
+    dataset: Dataset,
+    config: SearchConfig,
+    shared: DatasetPrecomputation,
+    user_factory: UserFactoryLike,
+    position: int,
+    query_index: int,
+    *,
+    journal_dir: str | None,
+    journal_provenance: dict | None,
+) -> BatchEntry:
+    """Run one batch query to completion; the only per-query batch path.
+
+    Both the in-process loop of :func:`run_batch` and every worker of
+    :func:`repro.core.parallel.run_parallel_batch` call this.  The
+    engine shares *shared* (the batch's dataset precomputation) and
+    writes ``journal_filename(position, query_index)`` into
+    *journal_dir* when journaling is on; the journal is closed even if
+    the run raises.
+    """
+    journal = _open_journal(
+        journal_dir, journal_provenance, position, query_index
+    )
+    try:
+        engine = SearchEngine(
+            dataset,
+            config,
+            precomputed=shared,
+            structural_spans=False,
+            journal=journal,
+        )
+        user = build_user(user_factory, dataset, query_index)
+        result = drive(engine, dataset.points[query_index], user)
+        return _finalize_entry(query_index, result)
+    finally:
+        if journal is not None:
+            journal.close()
+
+
 def run_batch(
     search: InteractiveNNSearch,
     query_indices: np.ndarray,
     user_factory: UserFactoryLike,
     *,
-    max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
     workers: int = 1,
     journal_dir: str | None = None,
     journal_provenance: dict | None = None,
@@ -212,16 +229,9 @@ def run_batch(
         or a :class:`~repro.interaction.factories.DatasetUserFactory`
         (required for ``workers > 1``, where the factory must be
         picklable and receives the worker-side dataset).
-    max_in_flight:
-        Maximum number of suspended engines alive at once.  ``1``
-        degenerates to the classic sequential loop; higher values
-        interleave runs round-robin (one decision per engine per pass).
-        Results are identical for every value — engines are isolated —
-        so the knob trades peak memory against scheduling granularity
-        (e.g. amortizing a remote user's round-trip latency).
-        Ignored when ``workers > 1``.
     workers:
-        Number of worker processes.  ``1`` (default) runs in-process;
+        Number of worker processes.  ``1`` (default) runs the queries
+        in-process, one after another, in input order;
         ``N > 1`` fans the batch out over a spawn-safe process pool via
         :func:`repro.core.parallel.run_parallel_batch`, sharing the
         point matrix and dataset statistics across workers.  Results
@@ -239,14 +249,12 @@ def run_batch(
     Returns
     -------
     BatchResult
-        Per-query outcomes in input order, regardless of the completion
-        order under interleaving.
+        Per-query outcomes in input order, regardless of the order in
+        which worker processes finish them.
     """
     indices = np.asarray(query_indices, dtype=int)
     if indices.size == 0:
         raise ConfigurationError("query_indices must be non-empty")
-    if max_in_flight < 1:
-        raise ConfigurationError("max_in_flight must be at least 1")
     if workers < 1:
         raise ConfigurationError("workers must be at least 1")
     dataset = search.dataset
@@ -269,70 +277,18 @@ def run_batch(
             journal_provenance=journal_provenance,
         )
     shared = DatasetPrecomputation(dataset)
-    entries: list[BatchEntry | None] = [None] * indices.size
-    pending = list(enumerate(indices.tolist()))  # (position, query_index)
-    next_pending = 0
-    slots: list[_Slot] = []
-
-    def _launch() -> None:
-        """Fill free capacity with fresh engines (may finish instantly)."""
-        nonlocal next_pending
-        while next_pending < len(pending) and len(slots) < max_in_flight:
-            position, query_index = pending[next_pending]
-            next_pending += 1
-            engine = SearchEngine(
+    with span("search.batch", queries=int(indices.size)):
+        entries = tuple(
+            run_query(
                 dataset,
                 search.config,
-                precomputed=shared,
-                structural_spans=False,
-                journal=_open_journal(
-                    journal_dir, journal_provenance, position, query_index
-                ),
+                shared,
+                user_factory,
+                position,
+                query_index,
+                journal_dir=journal_dir,
+                journal_provenance=journal_provenance,
             )
-            user = build_user(user_factory, dataset, query_index)
-            with span("batch.start", query=query_index):
-                event = engine.start(dataset.points[query_index])
-            if isinstance(event, ViewRequest):
-                slots.append(
-                    _Slot(
-                        position=position,
-                        query_index=query_index,
-                        engine=engine,
-                        user=user,
-                        event=event,
-                    )
-                )
-            else:  # degenerate run: terminated without any decision
-                entries[position] = _finalize_entry(query_index, event)
-                _close_journal(engine)
-
-    with span(
-        "search.batch",
-        queries=int(indices.size),
-        max_in_flight=int(max_in_flight),
-    ):
-        _launch()
-        while slots:
-            # One round-robin pass: each live engine gets one decision.
-            for slot in list(slots):
-                event = slot.event
-                with span(
-                    "batch.step",
-                    query=slot.query_index,
-                    step=event.step,
-                ):
-                    _BATCH_STEPS.inc()
-                    decision = validate_decision(
-                        slot.user.review_view(event.view), event.view
-                    )
-                    outcome = slot.engine.submit(decision)
-                if isinstance(outcome, ViewRequest):
-                    slot.event = outcome
-                else:
-                    entries[slot.position] = _finalize_entry(
-                        slot.query_index, outcome
-                    )
-                    _close_journal(slot.engine)
-                    slots.remove(slot)
-            _launch()
-    return BatchResult(entries=tuple(entries))  # type: ignore[arg-type]
+            for position, query_index in enumerate(indices.tolist())
+        )
+    return BatchResult(entries=entries)

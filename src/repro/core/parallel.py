@@ -1,15 +1,17 @@
 """Process-parallel batch execution with shared dataset precomputation.
 
-``run_batch`` interleaves suspended engines on one core; this module
-fans the same workload out over a **spawn-safe process pool** so batch
-throughput scales with the hardware.  The design goals, in order:
+``run_batch`` runs its queries one after another on one core; this
+module fans the same workload out over a **spawn-safe process pool** so
+batch throughput scales with the hardware.  Both paths run each query
+through the same function, :func:`repro.core.batch.run_query`.  The
+design goals, in order:
 
 1. **Byte-identical results.**  Every engine is fully isolated (own
    PCG64 stream seeded from the config, own state), so a query's
    outcome is a pure function of *(dataset, config, query, user)* —
    independent of which process runs it or in what order.  The parity
    suite (``tests/core/test_parallel.py``) checks process-parallel
-   results against the in-process scheduler **and** against the
+   results against the in-process loop **and** against the
    pre-refactor sequential goldens, element for element.
 
 2. **Share per-dataset work, don't re-derive it.**  The point matrix is
@@ -49,25 +51,23 @@ through ``run_batch(..., workers=N)``.
 
 from __future__ import annotations
 
-import json
 import os
 import pickle
+import threading
 import uuid
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from multiprocessing import get_context, shared_memory
-from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from repro.core.config import SearchConfig
-from repro.core.engine import DatasetPrecomputation, SearchEngine, ViewRequest
+from repro.core.engine import DatasetPrecomputation
 from repro.data.dataset import Dataset
 from repro.exceptions import ConfigurationError, ReproError
-from repro.interaction.base import validate_decision
-from repro.interaction.factories import UserFactoryLike, build_user
+from repro.interaction.factories import UserFactoryLike
 from repro.obs.export import span_from_dict
 from repro.obs.logging import get_logger
 from repro.obs.metrics import REGISTRY, counter
@@ -118,8 +118,10 @@ def _warn_telemetry_dropped(workers: int) -> None:
 #: Extra attempts granted to a query whose worker died underneath it.
 DEFAULT_MAX_RETRIES = 1
 
-#: Step at which ``checkpoint_round_trip`` suspends/resumes each run.
-_ROUND_TRIP_STEP = 2
+#: Upper bound on how long a worker's first task waits for the rest of
+#: the pool to start (see :func:`_await_pool_start`).  Only a worker
+#: that died while spawning can make the wait run this long.
+_START_BARRIER_TIMEOUT_S = 60.0
 
 
 class WorkerCrashError(ReproError):
@@ -233,6 +235,7 @@ def _worker_init(
     trace: bool = False,
     journal_dir: str | None = None,
     journal_provenance: dict[str, Any] | None = None,
+    start_barrier: Any = None,
 ) -> None:
     """Pool initializer: map the shared points, rebuild the dataset.
 
@@ -243,6 +246,7 @@ def _worker_init(
     set, every task brackets its work in a
     :class:`~repro.obs.snapshot.TelemetryCollector` (with a task-scoped
     tracer iff *trace*) and ships the snapshot back with its result.
+    *start_barrier* is the pool's :func:`_await_pool_start` barrier.
     """
     shm = _attach_shared_memory(spec.shm_name)
     points = np.ndarray(spec.shape, dtype=np.dtype(spec.dtype), buffer=shm.buf)
@@ -267,87 +271,66 @@ def _worker_init(
             "trace": bool(trace),
             "journal_dir": journal_dir,
             "journal_provenance": journal_provenance,
+            "start_barrier": start_barrier,
         }
     )
 
 
+def _await_pool_start(env: dict[str, Any]) -> None:
+    """Hold a worker's first task until every worker has one.
+
+    The barrier has one party per pool process and the pool never has
+    more processes than queries, so no worker can finish its first task
+    (and take a second) before every other worker has started its
+    first: each worker runs at least one query, however unevenly the
+    processes spawn.  A barrier broken by a dead or late worker only
+    releases the wait; results never depend on it.
+    """
+    barrier = env.pop("start_barrier", None)
+    if barrier is None:
+        return
+    try:
+        barrier.wait(_START_BARRIER_TIMEOUT_S)
+    except threading.BrokenBarrierError:
+        pass
+
+
 def _drive_worker_engine(
-    position: int, query_index: int, checkpoint_round_trip: bool
+    position: int, query_index: int
 ) -> tuple[int, Any, TelemetrySnapshot | None]:
     """Run one query to completion inside a worker.
 
     Returns ``(position, BatchEntry, telemetry_snapshot)`` — the
     snapshot carries every counter/histogram/gauge delta, log summary,
     and (when the parent traces) the task's span trees; ``None`` when
-    the batch opted out with ``telemetry=False``.  With
-    *checkpoint_round_trip* the run is suspended at view step
-    ``_ROUND_TRIP_STEP``, serialized through the full JSON checkpoint
-    codec, resumed into a fresh engine, and then finished — proving the
-    checkpoint path is lossless inside the parallel executor too.
+    the batch opted out with ``telemetry=False``.  The query itself
+    runs through :func:`repro.core.batch.run_query`, exactly as in
+    process; a retried query recreates its journal file, so a crash
+    mid-write cannot leave a half-journal behind.
     """
-    from repro.core.batch import _finalize_entry  # deferred: avoids cycle
+    from repro.core.batch import run_query  # deferred: avoids cycle
 
     env = _WORKER_ENV
     if not env:
         raise RuntimeError("worker environment was not initialized")
-    dataset: Dataset = env["dataset"]
-    config: SearchConfig = env["config"]
-    shared: DatasetPrecomputation = env["shared"]
+    _await_pool_start(env)
     collector: TelemetryCollector | None = None
     if env.get("telemetry", True):
         collector = TelemetryCollector(trace=env.get("trace", False))
         collector.begin()
     snapshot: TelemetrySnapshot | None = None
-    journal = None
-    if env.get("journal_dir"):
-        # Per-query journal files land directly in the shared directory
-        # (the parallel analogue of shipping TelemetrySnapshots home).
-        # A retried query recreates its file, so a crash mid-write
-        # cannot leave a half-journal behind.
-        from repro.core.batch import journal_filename
-        from repro.obs.journal import SessionJournal
-
-        journal = SessionJournal.create(
-            Path(env["journal_dir"]) / journal_filename(position, query_index),
-            provenance=env.get("journal_provenance"),
-        )
     try:
-        user = build_user(env["user_factory"], dataset, query_index)
-        engine = SearchEngine(
-            dataset,
-            config,
-            precomputed=shared,
-            structural_spans=False,
-            journal=journal,
+        entry = run_query(
+            env["dataset"],
+            env["config"],
+            env["shared"],
+            env["user_factory"],
+            position,
+            query_index,
+            journal_dir=env.get("journal_dir"),
+            journal_provenance=env.get("journal_provenance"),
         )
-        event = engine.start(dataset.points[query_index])
-        tripped = not checkpoint_round_trip
-        while isinstance(event, ViewRequest):
-            if not tripped and event.step >= _ROUND_TRIP_STEP:
-                from repro.core.serialization import (
-                    checkpoint_to_dict,
-                    resume_engine,
-                )
-
-                payload = json.loads(json.dumps(checkpoint_to_dict(engine)))
-                engine.close()
-                engine, event = resume_engine(
-                    payload,
-                    dataset,
-                    precomputed=shared,
-                    structural_spans=False,
-                    journal=journal,
-                )
-                tripped = True
-                continue
-            decision = validate_decision(
-                user.review_view(event.view), event.view
-            )
-            event = engine.submit(decision)
-        entry = _finalize_entry(query_index, event)
     finally:
-        if journal is not None:
-            journal.close()
         if collector is not None:
             snapshot = collector.finish()
     return position, entry, snapshot
@@ -377,7 +360,6 @@ def run_parallel_batch(
     *,
     workers: int,
     max_retries: int = DEFAULT_MAX_RETRIES,
-    checkpoint_round_trip: bool = False,
     precomputed: DatasetPrecomputation | None = None,
     telemetry: bool = True,
     journal_dir: str | None = None,
@@ -401,9 +383,6 @@ def run_parallel_batch(
         Process count; clamped to the number of queries.
     max_retries:
         Extra attempts per query after a worker death (default 1).
-    checkpoint_round_trip:
-        Verification mode: suspend/resume every run through the JSON
-        checkpoint codec mid-flight (results must not change).
     precomputed:
         Optional parent-side precomputation whose derived statistics
         seed the workers.
@@ -454,8 +433,9 @@ def run_parallel_batch(
             pools = 0
             while remaining:
                 pools += 1
+                pool_size = min(workers, len(remaining))
                 executor = ProcessPoolExecutor(
-                    max_workers=workers,
+                    max_workers=pool_size,
                     mp_context=ctx,
                     initializer=_worker_init,
                     initargs=(
@@ -466,6 +446,7 @@ def run_parallel_batch(
                         trace_workers,
                         journal_dir,
                         journal_provenance,
+                        ctx.Barrier(pool_size),
                     ),
                 )
                 try:
@@ -473,11 +454,13 @@ def run_parallel_batch(
                         executor,
                         remaining,
                         entries,
-                        checkpoint_round_trip,
                         lanes,
                     )
                 finally:
-                    executor.shutdown(wait=False, cancel_futures=True)
+                    # Wait for every worker to exit before the shared
+                    # segment can be unlinked below: a worker that is
+                    # still spawning would otherwise fail to attach it.
+                    executor.shutdown(wait=True, cancel_futures=True)
                 if not broken:
                     continue  # remaining is empty now
                 _POOL_RESTARTS.inc()
@@ -510,7 +493,6 @@ def _dispatch_round(
     executor: ProcessPoolExecutor,
     remaining: dict[int, int],
     entries: dict[int, Any],
-    checkpoint_round_trip: bool,
     lanes: dict[int, int],
 ) -> bool:
     """Submit every remaining query; harvest until done or pool death.
@@ -527,10 +509,7 @@ def _dispatch_round(
     with span("batch.parallel.dispatch", queries=len(remaining)):
         futures = {
             executor.submit(
-                _drive_worker_engine,
-                position,
-                query_index,
-                checkpoint_round_trip,
+                _drive_worker_engine, position, query_index
             ): position
             for position, query_index in remaining.items()
         }

@@ -23,7 +23,8 @@ from typing import Callable
 import numpy as np
 
 from repro.analysis.quality import natural_neighbors
-from repro.core.search import InteractiveNNSearch, SearchResult
+from repro.core.engine import SearchResult
+from repro.core.search import InteractiveNNSearch
 from repro.core.termination import top_set_overlap
 from repro.exceptions import ConfigurationError
 from repro.interaction.base import UserAgent

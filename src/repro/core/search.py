@@ -12,10 +12,8 @@ Since the sans-io refactor the loop itself lives in
 :class:`repro.core.engine.SearchEngine`; this module is the classic
 blocking facade: it steps the engine, obtains each decision from a
 :class:`~repro.interaction.base.UserAgent` synchronously, and returns
-the identical :class:`SearchResult` the monolithic loop produced.
-:class:`TerminationReason` and :class:`SearchResult` are defined in
-:mod:`repro.core.engine` and re-exported here for backward
-compatibility.
+the identical :class:`~repro.core.engine.SearchResult` the monolithic
+loop produced.
 """
 
 from __future__ import annotations
@@ -25,20 +23,13 @@ from dataclasses import replace
 import numpy as np
 
 from repro.core.config import SearchConfig
-from repro.core.engine import (
-    SearchEngine,
-    SearchResult,
-    TerminationReason,
-    ViewRequest,
-)
+from repro.core.engine import SearchEngine, SearchResult, ViewRequest
 from repro.data.dataset import Dataset
 from repro.interaction.base import UserAgent, validate_decision
 from repro.obs.trace import Tracer, current_tracer, span
 
 __all__ = [
     "InteractiveNNSearch",
-    "SearchResult",
-    "TerminationReason",
     "drive",
 ]
 

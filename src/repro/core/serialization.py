@@ -2,7 +2,7 @@
 
 An interactive session is an experiment artifact: which projections
 were shown, what the user decided, how the meaningfulness distribution
-evolved.  This module renders a :class:`~repro.core.search.SearchResult`
+evolved.  This module renders a :class:`~repro.core.engine.SearchResult`
 (or a bare session) as plain JSON-compatible dictionaries so runs can
 be archived, diffed, and analyzed outside Python.
 
@@ -36,11 +36,11 @@ from repro.core.engine import (
     EnginePhase,
     EngineState,
     SearchEngine,
+    SearchResult,
     TerminationReason,
     ViewRequest,
 )
 from repro.core.meaningfulness import MeaningfulnessAccumulator
-from repro.core.search import SearchResult
 from repro.core.session import (
     MajorIterationRecord,
     MinorIterationRecord,
@@ -51,6 +51,7 @@ from repro.data.dataset import Dataset
 from repro.density.profiles import ProfileStatistics
 from repro.exceptions import CheckpointError, EngineStateError
 from repro.geometry.subspace import Subspace
+from repro.obs.journal import _jsonify
 from repro.obs.metrics import counter
 from repro.obs.trace import span
 
@@ -198,21 +199,6 @@ def dataset_fingerprint(dataset: Dataset) -> dict[str, Any]:
         "dim": int(dataset.dim),
         "sha256": hashlib.sha256(pts.tobytes()).hexdigest(),
     }
-
-
-def _jsonify(value: Any) -> Any:
-    """Recursively convert numpy scalars/arrays to JSON-native types."""
-    if isinstance(value, dict):
-        return {key: _jsonify(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(item) for item in value]
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
 
 
 def _session_to_lossless_dict(session: SearchSession) -> dict[str, Any]:

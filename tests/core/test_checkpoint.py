@@ -16,7 +16,12 @@ import numpy as np
 import pytest
 
 from repro.core.config import SearchConfig
-from repro.core.engine import EnginePhase, SearchEngine, ViewRequest
+from repro.core.engine import (
+    DatasetPrecomputation,
+    EnginePhase,
+    SearchEngine,
+    ViewRequest,
+)
 from repro.core.search import InteractiveNNSearch, drive_pending
 from repro.core.serialization import (
     CHECKPOINT_FORMAT,
@@ -93,10 +98,19 @@ def _assert_identical(result, baseline):
 
 
 def test_resume_identical_at_every_minor_boundary(clustered):
-    """Interrupt/serialize/resume at each boundary: results byte-equal."""
+    """Interrupt/serialize/resume at each boundary: results byte-equal.
+
+    Each checkpoint is resumed twice: into a standalone engine, and
+    into one sharing a precomputation whose statistics were installed
+    from an export, as a batch worker process resumes.
+    """
     qi = int(clustered.cluster_indices(0)[0])
     baseline = _baseline(clustered, qi)
     total = baseline.session.total_views
+    shared = DatasetPrecomputation(clustered)
+    shared.install_state(
+        DatasetPrecomputation(clustered).export_state(compute=True)
+    )
 
     for interrupt_at in range(1, total + 1):
         user = OracleUser(clustered, qi)
@@ -108,24 +122,27 @@ def test_resume_identical_at_every_minor_boundary(clustered):
         assert isinstance(event, ViewRequest)
 
         # Full JSON round-trip, as a file on disk would do.
-        payload = json.loads(json.dumps(checkpoint_to_dict(engine)))
+        text = json.dumps(checkpoint_to_dict(engine))
         engine.close()
 
-        resumed, pending = resume_engine(payload, clustered)
-        assert resumed.phase == EnginePhase.AWAITING_DECISION
-        # The recomputed pending view is identical to the interrupted one.
-        assert pending.step == event.step
-        assert pending.major_index == event.major_index
-        assert pending.minor_index == event.minor_index
-        assert np.array_equal(
-            pending.view.subspace.basis, event.view.subspace.basis
-        )
-        assert np.array_equal(
-            pending.view.projected_points, event.view.projected_points
-        )
+        for precomputed in (None, shared):
+            resumed, pending = resume_engine(
+                json.loads(text), clustered, precomputed=precomputed
+            )
+            assert resumed.phase == EnginePhase.AWAITING_DECISION
+            # The recomputed pending view is identical to the interrupted one.
+            assert pending.step == event.step
+            assert pending.major_index == event.major_index
+            assert pending.minor_index == event.minor_index
+            assert np.array_equal(
+                pending.view.subspace.basis, event.view.subspace.basis
+            )
+            assert np.array_equal(
+                pending.view.projected_points, event.view.projected_points
+            )
 
-        result = drive_pending(resumed, pending, OracleUser(clustered, qi))
-        _assert_identical(result, baseline)
+            result = drive_pending(resumed, pending, OracleUser(clustered, qi))
+            _assert_identical(result, baseline)
 
 
 def test_save_and_load_checkpoint_roundtrip(tmp_path, clustered):

@@ -22,6 +22,7 @@ import pytest
 from repro.core.batch import run_batch
 from repro.core.config import SearchConfig
 from repro.core.search import InteractiveNNSearch
+from repro.interaction.factories import OracleFactory
 from repro.interaction.heuristic import HeuristicUser
 from repro.interaction.oracle import OracleUser
 
@@ -95,8 +96,9 @@ def test_engine_matches_pre_refactor_golden(name):
         assert record.overlap == expected["overlap"]
 
 
-@pytest.mark.parametrize("max_in_flight", [1, 3, 8])
-def test_batch_matches_pre_refactor_golden(max_in_flight):
+@pytest.mark.parametrize("workers", [1, 3, 8])
+def test_batch_matches_pre_refactor_golden(workers):
+    """Every worker count, including more workers than queries, is exact."""
     ds = clustered_dataset()
     config = SearchConfig(
         support=15,
@@ -110,8 +112,8 @@ def test_batch_matches_pre_refactor_golden(max_in_flight):
     batch = run_batch(
         InteractiveNNSearch(ds, config),
         queries,
-        lambda qi: OracleUser(ds, qi),
-        max_in_flight=max_in_flight,
+        OracleFactory(),
+        workers=workers,
     )
     assert [e.query_index for e in batch.entries] == golden["query_indices"]
     for entry, expected in zip(batch.entries, golden["entries"]):

@@ -4,13 +4,15 @@ The acceptance criteria for ``run_batch(workers=N)``:
 
 * results are **byte-identical** to in-process execution *and* to the
   pre-refactor sequential goldens, for every worker count;
-* parity holds with a mid-run checkpoint/resume round trip inside
-  every worker;
+* per-query journals land under the same file names for every
+  worker count;
 * a worker killed mid-query is retried (once by default) and the batch
   still completes with identical results; a query that keeps killing
   workers raises :class:`WorkerCrashError`;
 * no orphaned shared-memory segments remain in any of those cases
-  (asserted in a ``finally``-style fixture check);
+  (asserted in a ``finally``-style fixture check), and the pool is shut
+  down before its segment is unlinked;
+* every worker runs at least one query when queries >= workers;
 * unpicklable factories fail fast with an actionable error;
 * worker-side counters are folded into the parent registry.
 
@@ -25,6 +27,7 @@ import glob
 import logging
 import os
 import signal
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +36,7 @@ import pytest
 from repro.core.batch import run_batch
 from repro.core.config import SearchConfig
 from repro.core.parallel import (
+    SharedDatasetHandle,
     WorkerCrashError,
     run_parallel_batch,
 )
@@ -112,22 +116,30 @@ def test_parallel_matches_sequential_and_golden():
         assert bool(entry.diagnosis.meaningful) == expected["meaningful"]
 
 
-def test_parallel_parity_under_checkpoint_round_trip():
-    """Suspend/resume through the JSON codec mid-run in every worker."""
+def test_journal_dir_file_names_match_across_worker_counts(tmp_path):
+    """Workers write the same per-query journals the in-process loop does."""
     ds = clustered_dataset()
     queries = np.asarray(GOLDENS["batch"]["query_indices"], dtype=int)
-    plain = run_parallel_batch(
-        ds, FAST_CONFIG, queries, OracleFactory(), workers=2
+    search = InteractiveNNSearch(ds, FAST_CONFIG)
+    d1, d2 = tmp_path / "w1", tmp_path / "w2"
+    d1.mkdir()
+    d2.mkdir()
+
+    sequential = run_batch(
+        search, queries, OracleFactory(), workers=1, journal_dir=str(d1)
     )
-    round_tripped = run_parallel_batch(
-        ds,
-        FAST_CONFIG,
-        queries,
-        OracleFactory(),
-        workers=2,
-        checkpoint_round_trip=True,
+    parallel = run_batch(
+        search, queries, OracleFactory(), workers=2, journal_dir=str(d2)
     )
-    _assert_entries_identical(round_tripped.entries, plain.entries)
+
+    names = sorted(p.name for p in d1.glob("session-*.jsonl"))
+    assert len(names) == queries.size
+    assert sorted(p.name for p in d2.glob("session-*.jsonl")) == names
+    for name in names:
+        lines_1 = (d1 / name).read_text().splitlines()
+        lines_2 = (d2 / name).read_text().splitlines()
+        assert len(lines_1) == len(lines_2) > 1
+    _assert_entries_identical(parallel.entries, sequential.entries)
 
 
 def test_duplicate_queries_are_supported():
@@ -222,6 +234,36 @@ def test_repeat_crasher_exhausts_retries_and_cleans_up():
             max_retries=1,
         )
     # The autouse fixture asserts no orphaned segments survived the raise.
+
+
+def test_pool_is_shut_down_before_shared_memory_is_unlinked(monkeypatch):
+    """The pool's workers have exited before the segment disappears.
+
+    A worker still spawning when the parent unlinks the segment cannot
+    attach it; waiting for the pool first closes that window.
+    """
+    import repro.core.parallel as parallel_module
+
+    calls: list[tuple] = []
+
+    class RecordingExecutor(ProcessPoolExecutor):
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            calls.append(("shutdown", wait))
+            super().shutdown(wait=wait, cancel_futures=cancel_futures)
+
+    original_cleanup = SharedDatasetHandle.cleanup
+
+    def recording_cleanup(self):
+        calls.append(("cleanup",))
+        original_cleanup(self)
+
+    monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(SharedDatasetHandle, "cleanup", recording_cleanup)
+    ds = clustered_dataset()
+    run_parallel_batch(
+        ds, FAST_CONFIG, np.array([0, 1], dtype=int), OracleFactory(), workers=2
+    )
+    assert calls == [("shutdown", True), ("cleanup",)]
 
 
 # ----------------------------------------------------------------------
@@ -335,21 +377,28 @@ def test_parallel_telemetry_parity_with_sequential():
     assert par_hist[2] > 0, "per-step histogram never observed"
 
 
-def test_traced_parallel_batch_adopts_worker_spans_on_lanes():
-    """``--trace`` on a parallel batch yields one multi-lane trace."""
-    ds = clustered_dataset()
-    queries = np.array([0, 1, 2, 3], dtype=int)
+def _traced_lanes(workers: int):
+    """Trace a four-query parallel batch; return its report."""
     start_trace(workload="parity-test")
     try:
         run_parallel_batch(
-            ds, FAST_CONFIG, queries, OracleFactory(), workers=2
+            clustered_dataset(),
+            FAST_CONFIG,
+            np.array([0, 1, 2, 3], dtype=int),
+            OracleFactory(),
+            workers=workers,
         )
     finally:
         report = finish_trace()
     assert report is not None
-    lanes = report.lanes()
-    assert 0 in lanes, "parent spans missing"
-    assert len(lanes) >= 2, f"no worker lanes adopted: {lanes}"
+    return report
+
+
+def test_traced_parallel_batch_adopts_worker_spans_on_lanes():
+    """``--trace`` on a parallel batch yields one multi-lane trace."""
+    report = _traced_lanes(2)
+    # Parent lane 0 plus one lane per worker: each worker ran a query.
+    assert report.lanes() == [0, 1, 2]
     worker_steps = [
         s for s in report.find("engine.step") if s.lane != 0
     ]
@@ -366,6 +415,12 @@ def test_traced_parallel_batch_adopts_worker_spans_on_lanes():
         for parent in parents
         for child in parent.children
     )
+
+
+def test_every_worker_runs_a_query_when_oversubscribed():
+    """Workers that spawn far apart (more workers than cores) each run one."""
+    report = _traced_lanes(4)
+    assert report.lanes() == [0, 1, 2, 3, 4]
 
 
 def test_untraced_parallel_batch_ships_no_spans():

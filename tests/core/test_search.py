@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.config import SearchConfig
-from repro.core.search import InteractiveNNSearch, TerminationReason
+from repro.core.engine import TerminationReason
+from repro.core.search import InteractiveNNSearch
 from repro.exceptions import DimensionalityError
 from repro.interaction.oracle import OracleUser
 from repro.interaction.scripted import AcceptEverythingUser, CallbackUser
