@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.arraycodec import decode_floats, encode_array
 from repro.exceptions import ConfigurationError
 
 
@@ -86,7 +87,7 @@ class PreferenceCounter:
         """Lossless JSON-compatible snapshot (see checkpointing docs)."""
         return {
             "n_points": int(self._counts.shape[0]),
-            "counts": self._counts.tolist(),
+            "counts": encode_array(self._counts),
             "pick_sizes": list(self._pick_sizes),
             "weights": list(self._weights),
         }
@@ -95,7 +96,7 @@ class PreferenceCounter:
     def from_state_dict(cls, state: dict) -> "PreferenceCounter":
         """Rebuild a counter from a :meth:`state_dict` snapshot."""
         restored = cls(int(state["n_points"]))
-        counts = np.asarray(state["counts"], dtype=float)
+        counts = decode_floats(state["counts"])
         if counts.shape != restored._counts.shape:
             raise ConfigurationError("counts length does not match n_points")
         restored._counts = counts

@@ -242,7 +242,9 @@ class DatasetPrecomputation:
       ``(n, d)`` copy per query per major iteration);
     * the full ambient subspace;
     * the global per-attribute variance / covariance (consumed by
-      diagnostics and benchmark code paths).
+      diagnostics and benchmark code paths);
+    * the checkpoint fingerprint (a SHA-256 over every point), which
+      every suspend and resume of a session would otherwise recompute.
 
     All cached values are bit-identical to what a cold engine computes,
     so sharing a precomputation across engines never changes results.
@@ -258,6 +260,7 @@ class DatasetPrecomputation:
         self._full_subspace = Subspace.full(dataset.dim)
         self._axis_variance: np.ndarray | None = None
         self._covariance: np.ndarray | None = None
+        self._fingerprint: dict[str, Any] | None = None
 
     @property
     def dataset(self) -> Dataset:
@@ -299,6 +302,17 @@ class DatasetPrecomputation:
 
             self._covariance = covariance_matrix(self._full_points)
         return self._covariance
+
+    def fingerprint(self) -> dict[str, Any]:
+        """Checkpoint fingerprint of the dataset (computed once, cached).
+
+        See :func:`repro.core.serialization.dataset_fingerprint`.
+        """
+        if self._fingerprint is None:
+            from repro.core import serialization
+
+            self._fingerprint = serialization.dataset_fingerprint(self._dataset)
+        return dict(self._fingerprint)
 
     # ------------------------------------------------------------------
     # Cross-process transfer (see repro.core.parallel)

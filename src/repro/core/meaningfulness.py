@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
+from repro.core.arraycodec import decode_floats, encode_array
 from repro.exceptions import ConfigurationError
 
 
@@ -174,7 +175,7 @@ class MeaningfulnessAccumulator:
         """Lossless JSON-compatible snapshot (see checkpointing docs)."""
         return {
             "n_points": int(self._sums.shape[0]),
-            "sums": self._sums.tolist(),
+            "sums": encode_array(self._sums),
             "iterations": self._iterations,
         }
 
@@ -182,7 +183,7 @@ class MeaningfulnessAccumulator:
     def from_state_dict(cls, state: dict) -> "MeaningfulnessAccumulator":
         """Rebuild an accumulator from a :meth:`state_dict` snapshot."""
         accumulator = cls(int(state["n_points"]))
-        sums = np.asarray(state["sums"], dtype=float)
+        sums = decode_floats(state["sums"])
         if sums.shape != accumulator._sums.shape:
             raise ConfigurationError("sums length does not match n_points")
         accumulator._sums = sums

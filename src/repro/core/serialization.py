@@ -14,8 +14,9 @@ checkpoints**: a suspended :class:`~repro.core.engine.SearchEngine`
 (phase ``AWAITING_DECISION``) can be serialized losslessly — including
 the ``np.random.Generator`` bit-state captured just before the pending
 view was computed — and resumed later on an equal dataset, producing a
-run byte-identical to the uninterrupted one.  JSON stores Python floats
-via ``repr``, which round-trips IEEE-754 doubles exactly, and holds
+run byte-identical to the uninterrupted one.  Checkpoint arrays travel
+as base64 little-endian bytes (:mod:`repro.core.arraycodec`), so floats
+survive bit for bit; scalars stay plain JSON, which holds
 arbitrary-precision integers, so the 128-bit PCG64 state needs no
 special casing.  See ``docs/ENGINE.md`` for the format.
 """
@@ -30,9 +31,16 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.arraycodec import (
+    decode_floats,
+    decode_indices,
+    encode_array,
+    encode_indices,
+)
 from repro.core.config import SearchConfig
 from repro.core.counting import PreferenceCounter
 from repro.core.engine import (
+    DatasetPrecomputation,
     EnginePhase,
     EngineState,
     SearchEngine,
@@ -49,7 +57,7 @@ from repro.core.session import (
 from repro.core.termination import StabilityTermination
 from repro.data.dataset import Dataset
 from repro.density.profiles import ProfileStatistics
-from repro.exceptions import CheckpointError, EngineStateError
+from repro.exceptions import CheckpointError, ConfigurationError, EngineStateError
 from repro.geometry.subspace import Subspace
 from repro.obs.journal import _jsonify
 from repro.obs.metrics import counter
@@ -58,7 +66,7 @@ from repro.obs.trace import span
 #: Discriminator stored in every checkpoint payload.
 CHECKPOINT_FORMAT = "repro.engine-checkpoint"
 #: Bumped on incompatible layout changes; loaders reject other versions.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _CHECKPOINTS = counter("engine.checkpoints")
 
@@ -190,7 +198,9 @@ def dataset_fingerprint(dataset: Dataset) -> dict[str, Any]:
     canonicalized to contiguous float64 before hashing, so the
     fingerprint is stable across storage dtypes: a float32 memory-map
     of the same values (see :func:`repro.data.loaders.load_npy_dataset`)
-    fingerprints identically to its float64 in-RAM twin.
+    fingerprints identically to its float64 in-RAM twin.  Checkpoints
+    reuse the copy memoised by
+    :meth:`~repro.core.engine.DatasetPrecomputation.fingerprint`.
     """
     pts = np.ascontiguousarray(dataset.points, dtype=np.float64)
     return {
@@ -201,7 +211,9 @@ def dataset_fingerprint(dataset: Dataset) -> dict[str, Any]:
     }
 
 
-def _session_to_lossless_dict(session: SearchSession) -> dict[str, Any]:
+def _session_to_lossless_dict(
+    session: SearchSession, n_points: int
+) -> dict[str, Any]:
     """Full-fidelity session codec (checkpoints must not drop anything)."""
     minors = []
     for record in session.minor_records:
@@ -210,7 +222,7 @@ def _session_to_lossless_dict(session: SearchSession) -> dict[str, Any]:
             {
                 "major": record.major_index,
                 "minor": record.minor_index,
-                "basis": record.subspace.basis.tolist(),
+                "basis": encode_array(record.subspace.basis),
                 "profile": {
                     "query_density": stats.query_density,
                     "peak_density": stats.peak_density,
@@ -226,7 +238,9 @@ def _session_to_lossless_dict(session: SearchSession) -> dict[str, Any]:
                 "live_count": record.live_count,
                 "note": record.note,
                 "refinement_dims": list(record.refinement_dims),
-                "selected_indices": [int(i) for i in record.selected_indices],
+                "selected_indices": encode_indices(
+                    record.selected_indices, n_points
+                ),
             }
         )
     majors = [
@@ -245,11 +259,15 @@ def _session_to_lossless_dict(session: SearchSession) -> dict[str, Any]:
     return {
         "minor_records": minors,
         "major_records": majors,
-        "probability_history": [p.tolist() for p in session.probability_history],
+        "probability_history": [
+            encode_array(p) for p in session.probability_history
+        ],
     }
 
 
-def _session_from_lossless_dict(payload: dict[str, Any]) -> SearchSession:
+def _session_from_lossless_dict(
+    payload: dict[str, Any], n_points: int
+) -> SearchSession:
     """Inverse of :func:`_session_to_lossless_dict`."""
     session = SearchSession()
     for entry in payload["minor_records"]:
@@ -257,9 +275,7 @@ def _session_from_lossless_dict(payload: dict[str, Any]) -> SearchSession:
             MinorIterationRecord(
                 major_index=int(entry["major"]),
                 minor_index=int(entry["minor"]),
-                subspace=Subspace.from_orthonormal(
-                    np.asarray(entry["basis"], dtype=float)
-                ),
+                subspace=Subspace.from_orthonormal(decode_floats(entry["basis"])),
                 profile_statistics=ProfileStatistics(
                     query_density=float(entry["profile"]["query_density"]),
                     peak_density=float(entry["profile"]["peak_density"]),
@@ -281,8 +297,8 @@ def _session_from_lossless_dict(payload: dict[str, Any]) -> SearchSession:
                 live_count=int(entry["live_count"]),
                 note=str(entry["note"]),
                 refinement_dims=tuple(int(d) for d in entry["refinement_dims"]),
-                selected_indices=np.asarray(
-                    entry["selected_indices"], dtype=int
+                selected_indices=decode_indices(
+                    entry["selected_indices"], n_points
                 ),
             )
         )
@@ -302,8 +318,7 @@ def _session_from_lossless_dict(payload: dict[str, Any]) -> SearchSession:
             )
         )
     session.probability_history = [
-        np.asarray(snapshot, dtype=float)
-        for snapshot in payload["probability_history"]
+        decode_floats(snapshot) for snapshot in payload["probability_history"]
     ]
     return session
 
@@ -329,6 +344,7 @@ def checkpoint_to_dict(engine: SearchEngine) -> dict[str, Any]:
             f"(phase: {engine.phase.value})"
         )
     state = engine.state
+    n_points = engine.dataset.size
     with span(
         "engine.checkpoint",
         major=state.major,
@@ -339,22 +355,22 @@ def checkpoint_to_dict(engine: SearchEngine) -> dict[str, Any]:
             "format": CHECKPOINT_FORMAT,
             "version": CHECKPOINT_VERSION,
             "config": dataclasses.asdict(engine.config),
-            "dataset": dataset_fingerprint(engine.dataset),
+            "dataset": engine.precomputed.fingerprint(),
             "state": {
-                "query": state.query.tolist(),
-                "live": [int(i) for i in state.live],
+                "query": encode_array(state.query),
+                "live": encode_indices(state.live, n_points),
                 "major": state.major,
                 "minor": state.minor,
                 # The pending view is recomputed on resume, so the step
                 # counter rolls back to the pre-view value.
                 "step": state.step - 1,
                 "reason": state.reason.name,
-                "current_basis": state.current.basis.tolist(),
+                "current_basis": encode_array(state.current.basis),
                 "rng_state": _jsonify(state.rng_state_at_view),
                 "preferences": state.preferences.state_dict(),
                 "accumulator": state.accumulator.state_dict(),
                 "termination": state.termination.state_dict(),
-                "session": _session_to_lossless_dict(state.session),
+                "session": _session_to_lossless_dict(state.session, n_points),
             },
         }
         journal = engine.journal
@@ -404,18 +420,16 @@ def checkpoint_from_bytes(payload: bytes) -> dict[str, Any]:
 
 
 def save_checkpoint(engine: SearchEngine, path: str | Path) -> Path:
-    """Write a suspended engine's checkpoint as JSON."""
+    """Write a suspended engine's checkpoint (:func:`checkpoint_to_bytes`)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(checkpoint_to_dict(engine), sort_keys=True))
+    path.write_bytes(checkpoint_to_bytes(engine))
     return path
 
 
 def load_checkpoint(path: str | Path) -> dict[str, Any]:
-    """Read a checkpoint file back into a dictionary (validated)."""
-    payload = json.loads(Path(path).read_text())
-    _validate_checkpoint(payload)
-    return payload
+    """Read a checkpoint file back (:func:`checkpoint_from_bytes`)."""
+    return checkpoint_from_bytes(Path(path).read_bytes())
 
 
 def _validate_checkpoint(payload: dict[str, Any]) -> None:
@@ -439,7 +453,7 @@ def resume_engine(
     checkpoint: dict[str, Any],
     dataset: Dataset,
     *,
-    precomputed: Any = None,
+    precomputed: DatasetPrecomputation | None = None,
     structural_spans: bool = True,
     journal: Any = None,
 ) -> tuple[SearchEngine, ViewRequest]:
@@ -455,7 +469,9 @@ def resume_engine(
         against the stored fingerprint (size, dimension, SHA-256 of the
         point bytes) — checkpoints never embed the data itself.
     precomputed:
-        Optional shared :class:`~repro.core.engine.DatasetPrecomputation`.
+        Optional shared :class:`~repro.core.engine.DatasetPrecomputation`
+        of *dataset*; its memoised fingerprint spares re-hashing the
+        points on every resume.
     structural_spans:
         Forwarded to :class:`~repro.core.engine.SearchEngine`.
     journal:
@@ -478,8 +494,12 @@ def resume_engine(
         dataset does not match the fingerprint.
     """
     _validate_checkpoint(checkpoint)
+    if precomputed is None:
+        precomputed = DatasetPrecomputation(dataset)
+    elif precomputed.dataset is not dataset:
+        raise ConfigurationError("precomputed cache belongs to a different dataset")
     fingerprint = checkpoint["dataset"]
-    actual = dataset_fingerprint(dataset)
+    actual = precomputed.fingerprint()
     for key in ("size", "dim", "sha256"):
         if fingerprint.get(key) != actual[key]:
             raise CheckpointError(
@@ -491,30 +511,28 @@ def resume_engine(
         raw = checkpoint["state"]
         rng = np.random.default_rng(config.rng_seed)
         rng.bit_generator.state = raw["rng_state"]
-        query = np.asarray(raw["query"], dtype=float)
+        n_points = dataset.size
         state = EngineState(
-            query=query,
-            live=np.asarray(raw["live"], dtype=int),
+            query=decode_floats(raw["query"]),
+            live=decode_indices(raw["live"], n_points),
             major=int(raw["major"]),
             minor=int(raw["minor"]),
             step=int(raw["step"]),
             support=config.effective_support(dataset.dim),
             views_per_major=dataset.dim // 2,
-            current=Subspace.from_orthonormal(
-                np.asarray(raw["current_basis"], dtype=float)
-            ),
+            current=Subspace.from_orthonormal(decode_floats(raw["current_basis"])),
             preferences=PreferenceCounter.from_state_dict(raw["preferences"]),
             accumulator=MeaningfulnessAccumulator.from_state_dict(
                 raw["accumulator"]
             ),
             termination=StabilityTermination.from_state_dict(raw["termination"]),
-            session=_session_from_lossless_dict(raw["session"]),
+            session=_session_from_lossless_dict(raw["session"], n_points),
             rng=rng,
             reason=TerminationReason[raw["reason"]],
         )
     except CheckpointError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint state: {exc}") from exc
     engine = SearchEngine(
         dataset,

@@ -48,6 +48,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.arraycodec import decode_indices
 from repro.core.config import SearchConfig
 from repro.core.engine import (
     DatasetPrecomputation,
@@ -58,7 +59,7 @@ from repro.core.engine import (
 from repro.core.serialization import (
     checkpoint_from_bytes,
     checkpoint_to_bytes,
-    dataset_fingerprint,
+    dataset_fingerprint,  # noqa: F401 - re-exported for instrumentation
     resume_engine,
 )
 from repro.data.dataset import Dataset
@@ -276,7 +277,7 @@ class SessionService:
             )
         pre = DatasetPrecomputation(dataset)
         self._datasets[name] = (dataset, pre)
-        self._fingerprints[dataset_fingerprint(dataset)["sha256"]] = name
+        self._fingerprints[pre.fingerprint()["sha256"]] = name
         _log.info(
             "registered dataset %r (%d points, dim %d)",
             name,
@@ -308,7 +309,11 @@ class SessionService:
                 continue
             try:
                 checkpoint = checkpoint_from_bytes(payload)
-            except CheckpointError as exc:
+                state = checkpoint["state"]
+                live_count = len(
+                    decode_indices(state["live"], checkpoint["dataset"]["size"])
+                )
+            except (CheckpointError, KeyError, TypeError) as exc:
                 _log.warning(
                     "stored checkpoint %s unreadable: %s", session_id, exc
                 )
@@ -316,7 +321,6 @@ class SessionService:
             name = self._fingerprints.get(
                 checkpoint["dataset"].get("sha256", "")
             )
-            state = checkpoint["state"]
             config = SearchConfig(**checkpoint["config"])
             journal_path = checkpoint.get("journal", {}).get("path")
             if name is None:
@@ -329,7 +333,7 @@ class SessionService:
                     step=int(state["step"]) + 1,
                     major=int(state["major"]),
                     minor=int(state["minor"]),
-                    live_count=len(state["live"]),
+                    live_count=live_count,
                     registry_id=None,
                     created_unix=time.time(),
                     journal_path=journal_path,
@@ -354,7 +358,7 @@ class SessionService:
                 step=int(state["step"]) + 1,
                 major=int(state["major"]),
                 minor=int(state["minor"]),
-                live_count=len(state["live"]),
+                live_count=live_count,
                 registry_id=registry_id,
                 created_unix=time.time(),
                 journal_path=journal_path,

@@ -15,8 +15,9 @@ runs:
   the session journal records — so HTTP responses can be diffed
   directly against a journal (protocol-conformance suite).
 * The optional ``view`` detail carries the projected points, query
-  coordinates, basis, and live indices as ``repr``-round-tripped
-  doubles; :func:`view_from_event` rebuilds the density profile with
+  coordinates, basis, and live indices as typed arrays
+  (:mod:`repro.core.arraycodec`: exact little-endian bytes, base64);
+  :func:`view_from_event` rebuilds the density profile with
   :meth:`~repro.density.profiles.VisualProfile.build`, which is
   deterministic, so the client-side profile equals the server-side one
   bit for bit.
@@ -33,11 +34,17 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.arraycodec import (
+    decode_floats,
+    decode_indices,
+    encode_array,
+    encode_indices,
+)
 from repro.core.config import SearchConfig
 from repro.core.engine import SearchResult, ViewRequest
 from repro.core.serialization import result_to_dict
 from repro.density.profiles import VisualProfile
-from repro.exceptions import ConfigurationError, ServiceError
+from repro.exceptions import CheckpointError, ConfigurationError, ServiceError
 from repro.geometry.subspace import Subspace
 from repro.interaction.base import ProjectionView, UserDecision
 from repro.obs.journal import view_payload
@@ -73,10 +80,10 @@ def view_event(
     if include_view:
         view = event.view
         payload["view"] = {
-            "projected_points": view.projected_points.tolist(),
-            "query_2d": view.query_2d.tolist(),
-            "basis": view.subspace.basis.tolist(),
-            "live_indices": [int(i) for i in view.live_indices],
+            "projected_points": encode_array(view.projected_points),
+            "query_2d": encode_array(view.query_2d),
+            "basis": encode_array(view.subspace.basis),
+            "live_indices": encode_indices(view.live_indices, view.total_points),
             "total_points": int(view.total_points),
         }
     return payload
@@ -216,7 +223,8 @@ def view_from_event(
     locally from the shipped coordinates with the session's grid
     resolution and bandwidth scale; since the floats round-trip exactly
     and the KDE is deterministic, the rebuilt profile (and hence any
-    threshold sweep over it) matches the server's bit for bit.
+    threshold sweep over it) matches the server's bit for bit.  A
+    malformed array raises a 400-level ``malformed_view`` error.
     """
     detail = event.get("view")
     if detail is None:
@@ -226,8 +234,14 @@ def view_from_event(
             "event has no 'view' detail (create the session with "
             '"view": "full")',
         )
-    projected = np.asarray(detail["projected_points"], dtype=float)
-    query_2d = np.asarray(detail["query_2d"], dtype=float)
+    total_points = int(detail["total_points"])
+    try:
+        projected = decode_floats(detail["projected_points"])
+        query_2d = decode_floats(detail["query_2d"])
+        basis = decode_floats(detail["basis"])
+        live_indices = decode_indices(detail["live_indices"], total_points)
+    except CheckpointError as exc:
+        raise ServiceError(400, "malformed_view", str(exc)) from exc
     profile = VisualProfile.build(
         projected,
         query_2d,
@@ -240,11 +254,9 @@ def view_from_event(
         profile=profile,
         projected_points=projected,
         query_2d=query_2d,
-        subspace=Subspace.from_orthonormal(
-            np.asarray(detail["basis"], dtype=float)
-        ),
-        live_indices=np.asarray(detail["live_indices"], dtype=int),
+        subspace=Subspace.from_orthonormal(basis),
+        live_indices=live_indices,
         major_index=int(event["major"]),
         minor_index=int(event["minor"]),
-        total_points=int(detail["total_points"]),
+        total_points=total_points,
     )

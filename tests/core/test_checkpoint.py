@@ -218,6 +218,9 @@ def test_resume_rejects_wrong_format_and_version(clustered):
     bad_version = dict(payload, version=CHECKPOINT_VERSION + 1)
     with pytest.raises(CheckpointError):
         resume_engine(bad_version, clustered)
+    # Version 1 (arrays as JSON number lists) has no reader.
+    with pytest.raises(CheckpointError, match="version 1"):
+        resume_engine(dict(payload, version=1), clustered)
     with pytest.raises(CheckpointError):
         resume_engine({"format": CHECKPOINT_FORMAT}, clustered)
 

@@ -24,6 +24,7 @@ from repro.core.search import drive
 from repro.core.serialization import result_to_dict
 from repro.interaction.heuristic import HeuristicUser
 from repro.service.client import RemoteSessionDriver, ServiceClient
+from repro.service.wire import view_from_event
 
 from tests.service.conftest import FAST_CONFIG, run_async
 
@@ -112,7 +113,8 @@ class TestInterleavedSessions:
                 async def advance(key):
                     client, sid, event = sessions[key]
                     if key == "a":
-                        subset = sorted(event["view"]["live_indices"][:25])
+                        view = view_from_event(event, SearchConfig(**two_majors))
+                        subset = sorted(int(i) for i in view.live_indices[:25])
                         body = {
                             "step": event["step"],
                             "accepted": True,

@@ -8,7 +8,7 @@ Three fault families:
   stopped, all in-memory state discarded); a brand-new service over
   the same spill directory readopts the checkpoint and the session
   finishes over HTTP with a result identical to an uninterrupted run.
-* **Corruption/loss** — a truncated or vanished on-disk checkpoint
+* **Corruption/loss** — a truncated, damaged or vanished on-disk checkpoint
   maps to one clean 410, the registry marks the session failed, and
   the server keeps serving everything else.
 * **Eviction transparency** — under a tiny byte budget, interleaved
@@ -20,6 +20,7 @@ Three fault families:
 
 from __future__ import annotations
 
+import base64
 import json
 
 import pytest
@@ -208,7 +209,7 @@ class TestKillAndRecover:
 
 
 class TestCorruptionAndLoss:
-    @pytest.mark.parametrize("damage", ["truncate", "garbage"])
+    @pytest.mark.parametrize("damage", ["truncate", "garbage", "array"])
     def test_corrupt_checkpoint_is_clean_410(self, spill_server, damage):
         runtime, spill_dir = spill_server
 
@@ -233,6 +234,14 @@ class TestCorruptionAndLoss:
                 assert path.exists()
                 if damage == "truncate":
                     path.write_bytes(path.read_bytes()[: 40])
+                elif damage == "array":
+                    # Still valid JSON; the live set loses its last byte.
+                    checkpoint = json.loads(path.read_bytes())
+                    live = checkpoint["state"]["live"]
+                    live["b64"] = base64.b64encode(
+                        base64.b64decode(live["b64"])[:-1]
+                    ).decode("ascii")
+                    path.write_text(json.dumps(checkpoint))
                 else:
                     path.write_bytes(b"\x00not json at all")
 

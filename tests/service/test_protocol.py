@@ -19,12 +19,15 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.config import SearchConfig
 from repro.core.engine import SearchEngine
 from repro.core.serialization import result_to_dict
 from repro.core.search import drive
+from repro.exceptions import ServiceError
 from repro.interaction.oracle import OracleUser
 from repro.obs.journal import read_journal
 from repro.service.client import ServiceClient, ServiceClientError
+from repro.service.wire import view_event, view_from_event
 
 from tests.service.conftest import (
     FAST_CONFIG,
@@ -212,10 +215,11 @@ class TestResponseShapes:
             "live_indices",
             "total_points",
         }
-        assert len(view["projected_points"]) == event["live_count"]
-        assert len(view["live_indices"]) == event["live_count"]
-        assert len(view["query_2d"]) == 2
         assert view["total_points"] == small_service_dataset.size
+        decoded = view_from_event(event, SearchConfig(**FAST_CONFIG))
+        assert len(decoded.projected_points) == event["live_count"]
+        assert len(decoded.live_indices) == event["live_count"]
+        assert len(decoded.query_2d) == 2
 
     def test_digest_mode_omits_view_detail(self, server, small_service_dataset):
         async def scenario():
@@ -231,6 +235,27 @@ class TestResponseShapes:
 
         created = run_async(scenario())
         assert set(created["event"]) == VIEW_EVENT_KEYS
+
+    def test_view_detail_round_trips_and_rejects_damage(
+        self, small_service_dataset
+    ):
+        config = SearchConfig(**FAST_CONFIG)
+        engine = SearchEngine(small_service_dataset, config, structural_spans=False)
+        pending = engine.start(np.asarray(query_of(small_service_dataset)))
+        event = json.loads(
+            json.dumps(view_event("s", pending, engine.state, include_view=True))
+        )
+        engine.close()
+        view = view_from_event(event, config)
+        for field in ("projected_points", "query_2d", "live_indices"):
+            assert np.array_equal(getattr(view, field), getattr(pending.view, field))
+        assert np.array_equal(view.subspace.basis, pending.view.subspace.basis)
+        assert view.live_indices.dtype == np.intp
+
+        event["view"]["live_indices"]["b64"] = "not base64!"
+        with pytest.raises(ServiceError) as excinfo:
+            view_from_event(event, config)
+        assert excinfo.value.code == "malformed_view"
 
     def test_introspection_shape(self, server, small_service_dataset):
         async def scenario():

@@ -122,6 +122,21 @@ class TestCheckpointResume:
         err = capsys.readouterr().err
         assert "cannot resume" in err
 
+    def test_resume_rejects_truncated_checkpoint(self, capsys, tmp_path):
+        ckpt = tmp_path / "run.ckpt.json"
+        assert (
+            main(
+                self.DEMO
+                + ["--checkpoint", str(ckpt), "--checkpoint-step", "2"]
+            )
+            == 0
+        )
+        capsys.readouterr()
+        ckpt.write_bytes(ckpt.read_bytes()[: 200])
+        code = main(self.DEMO + ["--resume", str(ckpt)])
+        assert code == 2
+        assert "cannot resume" in capsys.readouterr().err
+
     def test_parser_accepts_checkpoint_flags(self):
         args = build_parser().parse_args(
             [
