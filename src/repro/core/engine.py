@@ -49,7 +49,10 @@ from repro.core.meaningfulness import (
     MeaningfulnessAccumulator,
     iteration_statistics,
 )
-from repro.core.projections import find_query_centered_projection
+from repro.core.projections import (
+    ProjectionSearchResult,
+    find_query_centered_projection,
+)
 from repro.core.session import (
     MajorIterationRecord,
     MinorIterationRecord,
@@ -206,8 +209,14 @@ class EngineState:
         view, never across suspension points.
     rng_state_at_view:
         Bit-generator state snapshot taken immediately *before* the
-        pending view was computed; replaying from it regenerates the
-        identical view.  ``None`` when no view is pending.
+        pending view was computed (the journal and wire ``rng_digest``
+        hash it).  ``None`` when no view is pending.
+    pending:
+        Projection search result of the pending view: the 2-D
+        projection, the remainder the next view is drawn from, and the
+        refinement trail.  Checkpoints store it, so resuming installs
+        the view instead of searching again.  ``None`` when no view is
+        pending.
     reason:
         Current termination reason (defaults to the iteration limit, as
         in the classic loop).
@@ -227,6 +236,7 @@ class EngineState:
     session: SearchSession
     rng: np.random.Generator
     rng_state_at_view: dict[str, Any] | None = None
+    pending: ProjectionSearchResult | None = None
     reason: TerminationReason = TerminationReason.ITERATION_LIMIT
 
 
@@ -411,7 +421,6 @@ class SearchEngine:
         self._result: SearchResult | None = None
         # Transient (derived) per-major artifacts — never serialized.
         self._points: np.ndarray | None = None
-        self._pending_found = None  # ProjectionSearchResult of pending view
         self._pending_view: ProjectionView | None = None
         # Open structural spans (context managers + span objects).
         self._run_cm = self._major_cm = self._minor_cm = None
@@ -571,7 +580,7 @@ class SearchEngine:
             )
         state = self._state
         view = self._pending_view
-        found = self._pending_found
+        found = state.pending
         decision = validate_decision(decision, view)
         _STEPS.inc()
         if decision.accepted:
@@ -616,7 +625,7 @@ class SearchEngine:
         state.current = found.remainder
         state.minor += 1
         self._pending_view = None
-        self._pending_found = None
+        state.pending = None
         state.rng_state_at_view = None
         self._phase = EnginePhase.RUNNING
         return self._advance(major_start=False)
@@ -670,7 +679,7 @@ class SearchEngine:
             at_major_start = True
 
     def _compute_view(self) -> ViewRequest:
-        """Compute the pending view (the only RNG-consuming section)."""
+        """Search and install the next view (the only RNG-consuming section)."""
         state = self._state
         config = self._config
         _MINORS.inc()
@@ -691,22 +700,33 @@ class SearchEngine:
                 restarts=config.projection_restarts,
                 rng=state.rng,
             )
-            projected = found.projection.project(self._points)
-            query_2d = found.projection.project(state.query)
-            profile = VisualProfile.build(
-                projected,
-                query_2d,
-                resolution=config.grid_resolution,
-                bandwidth_scale=config.bandwidth_scale,
-                kde_mode=config.kde_mode,
-                kde_subsample=config.kde_subsample,
-            )
-            # Precompute the grid's merge tree inside the engine.step
-            # span: every connectivity question the user asks about this
-            # view (any tau) is then a lookup, and the one-time sweep is
-            # attributed to view computation rather than to the user's
-            # decision window.
-            profile.grid.merge_tree
+            state.step += 1
+            return self._install_view(found)
+
+    def _install_view(self, found: ProjectionSearchResult) -> ViewRequest:
+        """Profile *found*'s projection and emit it as the pending view.
+
+        Shared by :meth:`_compute_view` and :meth:`_restore`; it consumes
+        no randomness, so installing a checkpointed search result yields
+        the view the interrupted run was showing, bit for bit.
+        """
+        state = self._state
+        config = self._config
+        projected = found.projection.project(self._points)
+        query_2d = found.projection.project(state.query)
+        profile = VisualProfile.build(
+            projected,
+            query_2d,
+            resolution=config.grid_resolution,
+            bandwidth_scale=config.bandwidth_scale,
+            kde_mode=config.kde_mode,
+            kde_subsample=config.kde_subsample,
+        )
+        # Precompute the grid's merge tree inside the engine.step span:
+        # every connectivity question the user asks about this view (any
+        # tau) is then a lookup, and the one-time sweep is attributed to
+        # view computation rather than to the user's decision window.
+        profile.grid.merge_tree
         view = ProjectionView(
             profile=profile,
             projected_points=projected,
@@ -717,10 +737,9 @@ class SearchEngine:
             minor_index=state.minor,
             total_points=self._dataset.size,
         )
-        self._pending_found = found
+        state.pending = found
         self._pending_view = view
         self._phase = EnginePhase.AWAITING_DECISION
-        state.step += 1
         request = ViewRequest(
             view=view,
             major_index=state.major,
@@ -846,17 +865,20 @@ class SearchEngine:
     # Resume support (used by repro.core.serialization)
     # ------------------------------------------------------------------
     def _restore(self, state: EngineState) -> ViewRequest:
-        """Install a checkpointed state and recompute the pending view.
+        """Install a checkpointed state and its pending view.
 
-        The checkpoint captures the boundary *before* the pending view
-        was computed (``state.rng`` already carries the pre-view
-        bit-state), so replaying the computation regenerates the
-        identical view and the run proceeds exactly as the
-        uninterrupted one would have.
+        The checkpoint carries the pending view's projection search
+        result (``state.pending``) and the post-view RNG state, so the
+        view is rebuilt from the stored projection without searching
+        again: no randomness is consumed and ``search.minor_iterations``
+        does not move.  The run proceeds exactly as the uninterrupted
+        one would have.
         """
         if self._phase != EnginePhase.CREATED:
             raise EngineStateError("can only restore into a fresh engine")
-        if state.current is None or state.preferences is None:
+        if any(
+            part is None for part in (state.current, state.preferences, state.pending)
+        ):
             raise EngineStateError("checkpoint state has no pending view")
         self._state = state
         self._points = self._shared.points_for(state.live)
@@ -877,7 +899,14 @@ class SearchEngine:
         )
         self._open_run_span()
         self._open_major_span()
-        return self._compute_view()
+        self._open_minor_span()
+        with span(
+            "engine.step",
+            op="install_view",
+            major=state.major,
+            minor=state.minor,
+        ):
+            return self._install_view(state.pending)
 
     # ------------------------------------------------------------------
     # Structural span bookkeeping

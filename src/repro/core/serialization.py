@@ -12,10 +12,11 @@ truncated to the top ``k`` entries to keep archives small.
 Since the sans-io refactor this module also owns **engine
 checkpoints**: a suspended :class:`~repro.core.engine.SearchEngine`
 (phase ``AWAITING_DECISION``) can be serialized losslessly — including
-the ``np.random.Generator`` bit-state captured just before the pending
-view was computed — and resumed later on an equal dataset, producing a
-run byte-identical to the uninterrupted one.  Checkpoint arrays travel
-as base64 little-endian bytes (:mod:`repro.core.arraycodec`), so floats
+the pending view's projection search result and the
+``np.random.Generator`` bit-state — and resumed later on an equal
+dataset without searching for the pending view again, producing a run
+byte-identical to the uninterrupted one.  Checkpoint arrays travel as
+base64 little-endian bytes (:mod:`repro.core.arraycodec`), so floats
 survive bit for bit; scalars stay plain JSON, which holds
 arbitrary-precision integers, so the 128-bit PCG64 state needs no
 special casing.  See ``docs/ENGINE.md`` for the format.
@@ -49,6 +50,7 @@ from repro.core.engine import (
     ViewRequest,
 )
 from repro.core.meaningfulness import MeaningfulnessAccumulator
+from repro.core.projections import ProjectionSearchResult
 from repro.core.session import (
     MajorIterationRecord,
     MinorIterationRecord,
@@ -57,7 +59,13 @@ from repro.core.session import (
 from repro.core.termination import StabilityTermination
 from repro.data.dataset import Dataset
 from repro.density.profiles import ProfileStatistics
-from repro.exceptions import CheckpointError, ConfigurationError, EngineStateError
+from repro.exceptions import (
+    CheckpointError,
+    ConfigurationError,
+    DimensionalityError,
+    EngineStateError,
+    SubspaceError,
+)
 from repro.geometry.subspace import Subspace
 from repro.obs.journal import _jsonify
 from repro.obs.metrics import counter
@@ -66,7 +74,7 @@ from repro.obs.trace import span
 #: Discriminator stored in every checkpoint payload.
 CHECKPOINT_FORMAT = "repro.engine-checkpoint"
 #: Bumped on incompatible layout changes; loaders reject other versions.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 _CHECKPOINTS = counter("engine.checkpoints")
 
@@ -265,8 +273,26 @@ def _session_to_lossless_dict(
     }
 
 
+def _decode_subspace(payload: Any, dim: int, rows: int | None = None) -> Subspace:
+    """Decode a stored orthonormal basis of a subspace of ``R^dim``.
+
+    The shape is checked first (``rows`` rows when given): a ``(l,)``
+    or ``(l, d')`` array would otherwise be reshaped or projected into
+    nonsense downstream.  Non-orthonormal rows raise
+    :class:`SubspaceError`, which :func:`resume_engine` reports as a
+    malformed checkpoint.
+    """
+    basis = decode_floats(payload)
+    if basis.ndim != 2 or basis.shape[1] != dim or rows not in (None, len(basis)):
+        expected = f"({'l' if rows is None else rows}, {dim})"
+        raise CheckpointError(
+            f"stored basis has shape {basis.shape}, expected {expected}"
+        )
+    return Subspace.from_orthonormal(basis)
+
+
 def _session_from_lossless_dict(
-    payload: dict[str, Any], n_points: int
+    payload: dict[str, Any], n_points: int, dim: int
 ) -> SearchSession:
     """Inverse of :func:`_session_to_lossless_dict`."""
     session = SearchSession()
@@ -275,7 +301,7 @@ def _session_from_lossless_dict(
             MinorIterationRecord(
                 major_index=int(entry["major"]),
                 minor_index=int(entry["minor"]),
-                subspace=Subspace.from_orthonormal(decode_floats(entry["basis"])),
+                subspace=_decode_subspace(entry["basis"], dim),
                 profile_statistics=ProfileStatistics(
                     query_density=float(entry["profile"]["query_density"]),
                     peak_density=float(entry["profile"]["peak_density"]),
@@ -329,9 +355,10 @@ def checkpoint_to_dict(engine: SearchEngine) -> dict[str, Any]:
     The engine must be in phase ``AWAITING_DECISION`` — the only
     suspension point of the state machine, reached before every user
     decision, so a run can be checkpointed at *any* minor-iteration
-    boundary.  The snapshot captures the boundary *before* the pending
-    view was computed (``rng_state_at_view``), so resuming recomputes
-    the identical view and continues the run byte-for-byte.
+    boundary.  The snapshot holds the pending view's projection search
+    result and the post-view RNG state, so resuming installs the
+    identical view without searching again and continues the run
+    byte-for-byte.
 
     Raises
     ------
@@ -344,6 +371,7 @@ def checkpoint_to_dict(engine: SearchEngine) -> dict[str, Any]:
             f"(phase: {engine.phase.value})"
         )
     state = engine.state
+    pending = state.pending
     n_points = engine.dataset.size
     with span(
         "engine.checkpoint",
@@ -361,12 +389,19 @@ def checkpoint_to_dict(engine: SearchEngine) -> dict[str, Any]:
                 "live": encode_indices(state.live, n_points),
                 "major": state.major,
                 "minor": state.minor,
-                # The pending view is recomputed on resume, so the step
-                # counter rolls back to the pre-view value.
-                "step": state.step - 1,
+                "step": state.step,
                 "reason": state.reason.name,
                 "current_basis": encode_array(state.current.basis),
-                "rng_state": _jsonify(state.rng_state_at_view),
+                "pending": {
+                    "projection": encode_array(pending.projection.basis),
+                    "remainder": encode_array(pending.remainder.basis),
+                    "query_cluster": encode_indices(
+                        pending.query_cluster_indices, n_points
+                    ),
+                    "refinement_dims": list(pending.refinement_dims),
+                },
+                "rng_state": _jsonify(state.rng.bit_generator.state),
+                "rng_state_at_view": _jsonify(state.rng_state_at_view),
                 "preferences": state.preferences.state_dict(),
                 "accumulator": state.accumulator.state_dict(),
                 "termination": state.termination.state_dict(),
@@ -449,6 +484,13 @@ def _validate_checkpoint(payload: dict[str, Any]) -> None:
             raise CheckpointError(f"checkpoint is missing the {key!r} section")
 
 
+def _generator(config: SearchConfig, bit_state: Any) -> np.random.Generator:
+    """A generator of the run's kind set to a stored bit-state."""
+    rng = np.random.default_rng(config.rng_seed)
+    rng.bit_generator.state = bit_state
+    return rng
+
+
 def resume_engine(
     checkpoint: dict[str, Any],
     dataset: Dataset,
@@ -479,19 +521,21 @@ def resume_engine(
         writing into — typically reopened from the checkpoint's
         ``journal.cursor`` via :meth:`SessionJournal.resume` so the
         resumed run appends to the original file.  The engine records a
-        ``resume`` event (and re-records the recomputed pending view).
+        ``resume`` event (and re-records the installed pending view).
 
     Returns
     -------
     tuple[SearchEngine, ViewRequest]
-        The resumed engine plus the recomputed pending view request —
-        identical to the one the interrupted run was awaiting.
+        The resumed engine plus the pending view request — identical to
+        the one the interrupted run was awaiting, rebuilt from the
+        stored projection without a projection search.
 
     Raises
     ------
     repro.exceptions.CheckpointError
-        If the payload is malformed, of an unknown version, or the
-        dataset does not match the fingerprint.
+        If the payload is malformed (including a stored basis that is
+        not an orthonormal basis in ``R^d``), of an unknown version, or
+        the dataset does not match the fingerprint.
     """
     _validate_checkpoint(checkpoint)
     if precomputed is None:
@@ -509,30 +553,50 @@ def resume_engine(
     try:
         config = SearchConfig(**checkpoint["config"])
         raw = checkpoint["state"]
-        rng = np.random.default_rng(config.rng_seed)
-        rng.bit_generator.state = raw["rng_state"]
-        n_points = dataset.size
+        n_points, dim = dataset.size, dataset.dim
+        query = decode_floats(raw["query"])
+        if query.shape != (dim,):
+            raise CheckpointError(f"query of shape {query.shape} is not in R^{dim}")
+        pending = raw["pending"]
         state = EngineState(
-            query=decode_floats(raw["query"]),
+            query=query,
             live=decode_indices(raw["live"], n_points),
             major=int(raw["major"]),
             minor=int(raw["minor"]),
             step=int(raw["step"]),
-            support=config.effective_support(dataset.dim),
-            views_per_major=dataset.dim // 2,
-            current=Subspace.from_orthonormal(decode_floats(raw["current_basis"])),
+            support=config.effective_support(dim),
+            views_per_major=dim // 2,
+            current=_decode_subspace(raw["current_basis"], dim),
             preferences=PreferenceCounter.from_state_dict(raw["preferences"]),
             accumulator=MeaningfulnessAccumulator.from_state_dict(
                 raw["accumulator"]
             ),
             termination=StabilityTermination.from_state_dict(raw["termination"]),
-            session=_session_from_lossless_dict(raw["session"], n_points),
-            rng=rng,
+            session=_session_from_lossless_dict(raw["session"], n_points, dim),
+            rng=_generator(config, raw["rng_state"]),
+            rng_state_at_view=_generator(
+                config, raw["rng_state_at_view"]
+            ).bit_generator.state,
+            pending=ProjectionSearchResult(
+                projection=_decode_subspace(pending["projection"], dim, rows=2),
+                remainder=_decode_subspace(pending["remainder"], dim),
+                query_cluster_indices=decode_indices(
+                    pending["query_cluster"], n_points
+                ),
+                refinement_dims=tuple(int(d) for d in pending["refinement_dims"]),
+            ),
             reason=TerminationReason[raw["reason"]],
         )
     except CheckpointError:
         raise
-    except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
+    except (
+        ConfigurationError,
+        DimensionalityError,
+        SubspaceError,
+        KeyError,
+        TypeError,
+        ValueError,
+    ) as exc:
         raise CheckpointError(f"malformed checkpoint state: {exc}") from exc
     engine = SearchEngine(
         dataset,

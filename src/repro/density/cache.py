@@ -5,8 +5,8 @@ The interactive search evaluates a kernel density estimate on a
 the dominant cost of a minor iteration, see ``kde.grid.eval_seconds``).
 Batch workloads repeat that work wholesale: two engines running the
 same query (duplicate queries are common under production traffic, and
-``run_batch`` explicitly supports them), a resumed checkpoint replaying
-its pending view, or a sequential re-run over the same dataset all
+``run_batch`` explicitly supports them), a resumed checkpoint rebuilding
+its pending view's profile, or a sequential re-run over the same dataset all
 recompute grids that are bit-for-bit equal to ones already produced in
 this process.
 

@@ -424,11 +424,15 @@ class SessionJournal:
         )
 
     def record_resume(self, state: Any) -> int:
-        """Record that the session resumed from a checkpoint."""
+        """Record that the session resumed from a checkpoint.
+
+        ``step`` counts the views emitted *before* the pending one, which
+        the resumed engine re-records as the next ``view`` record.
+        """
         return self._append(
             "resume",
             {
-                "step": int(state.step),
+                "step": int(state.step) - 1,
                 "major": int(state.major),
                 "minor": int(state.minor),
                 "live_count": int(state.live.size),

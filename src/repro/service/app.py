@@ -11,10 +11,12 @@ The trick is that a suspended session costs no engine at all.  Between
 requests a session exists only as checkpoint bytes in a
 :class:`~repro.service.store.SessionStore`; each ``POST
 /sessions/{id}/decision`` resumes the engine from its checkpoint
-(recomputing the pending view byte-identically), applies the decision,
-checkpoints again, and discards the engine.  Requests therefore cost
-roughly two view computations — the price of durability: the server
-can be killed between any two requests and every session survives.
+(installing the stored pending projection: its density profile is
+rebuilt, usually from the density cache, but no projection search runs
+again), applies the decision, computes the next view, checkpoints
+again, and discards the engine.  A request therefore costs one view
+computation plus one profile rebuild, and the server can be killed
+between any two requests with every session surviving.
 
 Endpoints (see ``docs/SERVICE.md`` for the full reference)::
 
@@ -330,7 +332,7 @@ class SessionService:
                     config=config,
                     include_view=True,
                     status="failed",
-                    step=int(state["step"]) + 1,
+                    step=int(state["step"]),
                     major=int(state["major"]),
                     minor=int(state["minor"]),
                     live_count=live_count,
@@ -355,7 +357,7 @@ class SessionService:
                 config=config,
                 include_view=True,
                 status="awaiting_decision",
-                step=int(state["step"]) + 1,
+                step=int(state["step"]),
                 major=int(state["major"]),
                 minor=int(state["minor"]),
                 live_count=live_count,

@@ -25,6 +25,7 @@ import json
 
 import pytest
 
+from repro.core.arraycodec import decode_floats, encode_array
 from repro.core.config import SearchConfig
 from repro.core.engine import SearchEngine, ViewRequest
 from repro.obs.metrics import counter
@@ -209,7 +210,7 @@ class TestKillAndRecover:
 
 
 class TestCorruptionAndLoss:
-    @pytest.mark.parametrize("damage", ["truncate", "garbage", "array"])
+    @pytest.mark.parametrize("damage", ["truncate", "garbage", "array", "basis"])
     def test_corrupt_checkpoint_is_clean_410(self, spill_server, damage):
         runtime, spill_dir = spill_server
 
@@ -241,6 +242,14 @@ class TestCorruptionAndLoss:
                     live["b64"] = base64.b64encode(
                         base64.b64decode(live["b64"])[:-1]
                     ).decode("ascii")
+                    path.write_text(json.dumps(checkpoint))
+                elif damage == "basis":
+                    # Decodes fine, but the rows are no longer orthonormal.
+                    checkpoint = json.loads(path.read_bytes())
+                    basis = checkpoint["state"]["current_basis"]
+                    checkpoint["state"]["current_basis"] = encode_array(
+                        2.0 * decode_floats(basis)
+                    )
                     path.write_text(json.dumps(checkpoint))
                 else:
                     path.write_bytes(b"\x00not json at all")

@@ -26,6 +26,7 @@ from repro.core.search import drive
 from repro.exceptions import ServiceError
 from repro.interaction.oracle import OracleUser
 from repro.obs.journal import read_journal
+from repro.obs.metrics import counter
 from repro.service.client import ServiceClient, ServiceClientError
 from repro.service.wire import view_event, view_from_event
 
@@ -256,6 +257,40 @@ class TestResponseShapes:
         with pytest.raises(ServiceError) as excinfo:
             view_from_event(event, config)
         assert excinfo.value.code == "malformed_view"
+
+    def test_each_decision_computes_one_view(self, server, small_service_dataset):
+        """After N decisions a pending session has computed N + 1 views
+        (a finished one N): every resume installs the checkpointed view
+        instead of searching again."""
+        views, resumes = counter("search.minor_iterations"), counter("engine.resumes")
+        views_before, resumes_before = views.value, resumes.value
+
+        async def scenario():
+            async with _client_for(server) as client:
+                created = await _create(
+                    client,
+                    {
+                        "dataset": "small",
+                        "config": FAST_CONFIG,
+                        "query": query_of(small_service_dataset),
+                    },
+                )
+                event, decisions = created["event"], 0
+                while event["type"] == "view_request":
+                    assert views.value - views_before == decisions + 1
+                    response = await client.expect(
+                        200,
+                        "POST",
+                        f"/sessions/{created['session']}/decision",
+                        {"step": event["step"], "accepted": False},
+                    )
+                    event, decisions = response["event"], decisions + 1
+                return decisions
+
+        decisions = run_async(scenario())
+        assert decisions > 1
+        assert resumes.value - resumes_before == decisions
+        assert views.value - views_before == decisions
 
     def test_introspection_shape(self, server, small_service_dataset):
         async def scenario():
